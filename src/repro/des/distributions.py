@@ -1,7 +1,10 @@
 """Service/inter-arrival time distributions for simulation models.
 
 A distribution here is a callable ``(rng: numpy.random.Generator) -> float``
-so stages stay declarative and seeds stay centralised.  The paper's
+so stages stay declarative and seeds stay centralised.  ``constant``
+and ``uniform`` also carry a ``batch(rng, n)`` sampler returning the
+next ``n`` draws exactly as ``n`` scalar calls would (the recurrence
+engine draws a stage's service times in blocks).  The paper's
 simulator draws per-job execution times from ``uniform(min, max)``;
 exponential variants exist for validating the queueing baseline against
 M/M/1 theory, and the heavy-tailed samplers (bounded Pareto, lognormal)
@@ -56,6 +59,7 @@ def constant(value: float) -> Distribution:
     def sample(rng: np.random.Generator) -> float:
         return value
 
+    sample.batch = lambda rng, n: [value] * n  # type: ignore[attr-defined]
     sample.mean = value  # type: ignore[attr-defined]
     sample.lo = value  # type: ignore[attr-defined]
     sample.hi = value  # type: ignore[attr-defined]
@@ -72,6 +76,10 @@ def uniform(lo: float, hi: float) -> Distribution:
     def sample(rng: np.random.Generator) -> float:
         return float(rng.uniform(lo, hi))
 
+    def batch(rng: np.random.Generator, n: int) -> list[float]:
+        return rng.uniform(lo, hi, size=n).tolist()
+
+    sample.batch = batch  # type: ignore[attr-defined]
     sample.mean = 0.5 * (lo + hi)  # type: ignore[attr-defined]
     sample.lo = lo  # type: ignore[attr-defined]
     sample.hi = hi  # type: ignore[attr-defined]

@@ -23,6 +23,14 @@ class StepSeries:
         self._times: list[float] = [t0]
         self._values: list[float] = [float(initial)]
 
+    @classmethod
+    def from_samples(cls, times: list[float], values: list[float]) -> "StepSeries":
+        """A series from recorded samples: strictly increasing times, one
+        value per time (adopted as given, not copied or checked)."""
+        series = cls.__new__(cls)
+        series._times, series._values = times, values
+        return series
+
     def record(self, t: float, value: float) -> None:
         """Set the series to ``value`` from time ``t`` on."""
         if t < self._times[-1]:
@@ -85,6 +93,14 @@ class CumulativeFlow:
         self._times: list[float] = [t0]
         self._cum: list[float] = [0.0]
 
+    @classmethod
+    def from_samples(cls, times: list[float], cum: list[float]) -> "CumulativeFlow":
+        """A flow from recorded samples: strictly increasing times and
+        their running totals (adopted as given, not copied or checked)."""
+        flow = cls.__new__(cls)
+        flow._times, flow._cum = times, cum
+        return flow
+
     def add(self, t: float, nbytes: float) -> None:
         """Record ``nbytes`` moving past the observation point at time ``t``."""
         if nbytes < 0:
@@ -126,6 +142,14 @@ class DelayStats:
 
     def __init__(self) -> None:
         self._delays: list[float] = []
+
+    @classmethod
+    def from_values(cls, delays: list[float]) -> "DelayStats":
+        """Stats over already-observed non-negative delays (adopted as
+        given, not copied or checked)."""
+        stats = cls()
+        stats._delays = delays
+        return stats
 
     def record(self, delay: float) -> None:
         """Add one observed delay."""

@@ -28,6 +28,7 @@ from .._validation import check_non_negative, check_positive
 from .core import Environment, Event
 from .distributions import Distribution, constant, uniform
 from .monitor import CumulativeFlow, DelayStats, StepSeries
+from .recurrence import SERVE_TOL, WHOLE_TOL, emit_chunk, simulate_recurrence
 from .report import SimulationReport, StageStats
 
 __all__ = ["Packet", "SimStage", "ByteQueue", "PipelineSimulation"]
@@ -232,7 +233,7 @@ class ByteQueue:
         remaining = nbytes
         while remaining > 0 and self._frags:
             frag = self._frags[0]
-            if frag.size <= remaining * (1 + 1e-12):
+            if frag.size <= remaining * WHOLE_TOL:
                 out.append(self._frags.popleft())
                 remaining -= frag.size
             else:
@@ -255,7 +256,7 @@ class ByteQueue:
         if self._pending_get is None:
             return
         ev, n = self._pending_get
-        if self.bytes >= n * (1 - 1e-12):
+        if self.bytes >= n * SERVE_TOL:
             self._pending_get = None
             ev.succeed((self._take(n), False))
         elif self._closed and self._pending_put is None:
@@ -342,7 +343,28 @@ class PipelineSimulation:
         draw count cannot perturb another's sequence, so a stage's
         per-job times are a function of ``(seed, stage index)`` alone —
         the determinism guarantee the validation experiments rely on.
+
+        The engine is chosen from the inputs.  A run with unbounded
+        queues, a deterministically paced source, no probe and no time
+        cut-off is a max-plus recurrence per stage
+        (:mod:`repro.des.recurrence`), replayed without an event loop
+        and bit-identical to it.  Everything else — and the rare
+        recurrence run whose outcome would hinge on how the event loop
+        orders simultaneous events — runs the event loop.
         """
+        if (
+            self.probe is None
+            and self.interarrival is None
+            and math.isinf(self.max_sim_time)
+            and all(math.isinf(st.queue_bytes) for st in self.stages)
+        ):
+            report = simulate_recurrence(self)
+            if report is not None:
+                return report
+        return self._run_events()
+
+    def _run_events(self) -> SimulationReport:
+        """The event-loop engine: source and stages as DES processes."""
         probe = self.probe
         env = Environment(tracer=probe)
         streams = np.random.SeedSequence(self.seed).spawn(len(self.stages) + 1)
@@ -360,6 +382,7 @@ class PipelineSimulation:
         delays_first = DelayStats()
         busy = [0.0] * len(self.stages)
         jobs = [0] * len(self.stages)
+        service_times: list[list[float]] = [[] for _ in self.stages]
         sink_records: list[tuple[float, float]] = []
 
         def source():
@@ -420,13 +443,14 @@ class PipelineSimulation:
                 yield env.timeout(t_exec)
                 busy[i] += t_exec
                 jobs[i] += 1
+                service_times[i].append(env.now - t_start)
                 if probe is not None:
                     probe.job_end(stage.name, t_start, env.now, job_bytes, is_first)
                 # departure: emit in `emit`-byte chunks (volume conserved,
                 # input-referred)
                 remaining = job_bytes
                 while remaining > 0:
-                    chunk = min(stage.emit_bytes, remaining)
+                    chunk = emit_chunk(stage.emit_bytes, remaining)
                     out_pkt = Packet(chunk, born_first, born_last)
                     if out_q is not None:
                         yield out_q.put(out_pkt)
@@ -467,6 +491,7 @@ class PipelineSimulation:
                 busy_time=busy[i],
                 utilization=(busy[i] / makespan) if makespan > 0 else 0.0,
                 max_queue_bytes=queues[i].occupancy.max,
+                service_times=np.asarray(service_times[i], dtype=float),
             )
             for i, s in enumerate(self.stages)
         ]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..units import format_bytes, format_rate, format_seconds
 
@@ -22,6 +24,10 @@ class StageStats:
     busy_time: float
     utilization: float
     max_queue_bytes: float
+    #: per-job service durations (``end - start``, seconds), in job order
+    service_times: np.ndarray = field(
+        default_factory=lambda: np.empty(0), repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,6 @@ class SimulationReport:
         (steady-state observation, as the paper's tight min/max delay
         window implies).
         """
-        import numpy as np
-
         from .monitor import DelayStats
 
         at, ac = self.arrivals.arrays()

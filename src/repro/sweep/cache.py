@@ -36,7 +36,9 @@ from .._fsutil import atomic_write_text
 __all__ = ["CACHE_SCHEMA_VERSION", "canonical_json", "point_key", "ResultCache"]
 
 #: bump to invalidate every existing cache entry
-CACHE_SCHEMA_VERSION = 2  # v2: results grew metrics + conformance sections
+#: v2: results grew metrics + conformance sections; v3: the DES no longer
+#: serves a job's sub-nanobyte excess as an extra job (``des`` payloads change)
+CACHE_SCHEMA_VERSION = 3
 
 
 def canonical_json(obj: Any) -> str:

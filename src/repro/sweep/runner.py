@@ -134,20 +134,18 @@ def evaluate_point(
         if spec.simulate:
             from ..telemetry import (
                 ConformanceReport,
-                SimMetrics,
                 check_arrivals,
                 evaluate_conformance,
+                report_summaries,
                 valid_bounds,
             )
 
-            metrics = SimMetrics()
             rep = simulate(
                 applied.pipeline,
                 workload=applied.workload or DEFAULT_SIM_WORKLOAD,
                 seed=seed,
                 queue_bytes=dict(applied.queue_bytes) or None,
                 scenario=applied.scenario,
-                probe=metrics,
             )
             vd = rep.observed_virtual_delays(skip_initial_fraction=0.15)
             des = {
@@ -160,15 +158,7 @@ def evaluate_point(
                 "virtual_delay_max": vd.max,
                 "bottleneck": rep.bottleneck().name,
             }
-            metrics_out = {
-                "job_latency": None,
-                "stage_service": metrics.stage_service_summary(),
-            }
-            if "job.latency_s" in metrics.registry:
-                latency = metrics.registry["job.latency_s"].snapshot()
-                metrics_out["job_latency"] = {
-                    k: latency[k] for k in ("count", "mean", "max", "p99")
-                }
+            metrics_out = report_summaries(rep)
             delay_b, backlog_b, alpha, est = valid_bounds(applied.pipeline)
             l_max = applied.pipeline.source.packet_bytes
             if est:

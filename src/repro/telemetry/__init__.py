@@ -25,6 +25,7 @@ from .metrics import (
     MetricsRegistry,
     SimMetrics,
     log_bucket_edges,
+    report_summaries,
 )
 from .conformance import (
     CheckResult,
@@ -52,6 +53,7 @@ __all__ = [
     "MetricsRegistry",
     "SimMetrics",
     "log_bucket_edges",
+    "report_summaries",
     "Violation",
     "CheckResult",
     "ConformanceReport",

@@ -10,6 +10,9 @@ an append.
 :class:`SimMetrics` adapts the registry to the
 :class:`~repro.telemetry.probe.SimProbe` protocol; snapshots are plain
 JSON-able dicts so they flow into sweep artifacts unchanged.
+:func:`report_summaries` computes the sweep's two summaries from a
+finished :class:`~repro.des.report.SimulationReport` instead, equal to
+what the probe would have collected, so unprobed runs keep them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "MetricsRegistry",
     "SimMetrics",
     "log_bucket_edges",
+    "report_summaries",
 ]
 
 
@@ -128,6 +132,26 @@ class Histogram:
             self.vmin = value
         if value > self.vmax:
             self.vmax = value
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """:meth:`observe` each value, in order, in one pass.
+
+        Counts and extremes come out vectorized; the running total still
+        adds left to right (not pairwise, not compensated), so it equals
+        the one ``observe`` calls would leave.
+        """
+        v = np.asarray(values, dtype=float)
+        if v.size == 0:
+            return
+        idx = np.searchsorted(self.edges, v, side="right")
+        self.counts += np.bincount(idx, minlength=len(self.counts))
+        self.count += int(v.size)
+        total = self.total
+        for x in v.tolist():
+            total += x
+        self.total = total
+        self.vmin = min(self.vmin, float(v.min()))
+        self.vmax = max(self.vmax, float(v.max()))
 
     @property
     def mean(self) -> float:
@@ -296,18 +320,33 @@ class SimMetrics(SimProbe):
     def summary(self) -> str:
         return self.registry.summary()
 
-    def stage_service_summary(self) -> dict[str, Mapping[str, Any]]:
-        """Compact per-stage service stats (sweep artifact rows)."""
-        out: dict[str, Mapping[str, Any]] = {}
-        for name in self.registry.names():
-            if name.startswith("stage.") and name.endswith(".service_s"):
-                m = self.registry[name]
-                if isinstance(m, Histogram) and m.count:
-                    stage = name[len("stage."):-len(".service_s")]
-                    out[stage] = {
-                        "count": m.count,
-                        "mean_s": m.mean,
-                        "max_s": m.vmax,
-                        "p99_s": m.quantile(0.99),
-                    }
-        return out
+
+def report_summaries(report: Any) -> dict[str, Any]:
+    """The sweep's metric summaries of one finished simulation.
+
+    ``job_latency`` summarizes the oldest-byte end-to-end latency of
+    every departure (``None`` when nothing departed); ``stage_service``
+    has one row per stage that completed a job.  Each comes from the
+    histogram :class:`SimMetrics` would fill (same buckets, same
+    observation order), bulk-filled from the report, so the values are
+    bit-identical to a probed run's.
+    """
+    job_latency = None
+    if report.delays_first.count:
+        latency = Histogram(log_bucket_edges())
+        latency.observe_many(report.delays_first.as_array())
+        snap = latency.snapshot()
+        job_latency = {k: snap[k] for k in ("count", "mean", "max", "p99")}
+    service: dict[str, Mapping[str, Any]] = {}
+    # SimMetrics keys rows by metric name, so order them the same way
+    for stage in sorted(report.stages, key=lambda s: f"stage.{s.name}.service_s"):
+        if len(stage.service_times):
+            h = Histogram(log_bucket_edges())
+            h.observe_many(stage.service_times)
+            service[stage.name] = {
+                "count": h.count,
+                "mean_s": h.mean,
+                "max_s": h.vmax,
+                "p99_s": h.quantile(0.99),
+            }
+    return {"job_latency": job_latency, "stage_service": service}

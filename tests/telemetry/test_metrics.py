@@ -12,6 +12,7 @@ from repro.telemetry import (
     MetricsRegistry,
     SimMetrics,
     log_bucket_edges,
+    report_summaries,
 )
 from repro.units import MiB
 
@@ -110,6 +111,21 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram([2.0, 1.0])
 
+    def test_observe_many_equals_observe_loop(self):
+        """The bulk fill leaves exactly what one observe() per value
+        leaves — counts, extremes and the left-to-right running total
+        (values chosen so a pairwise or compensated sum would differ)."""
+        values = [0.1, 1e16, 0.3, -1e16, 2.5, 7.0, 1.0, 0.05]
+        one, bulk = Histogram([1.0, 2.0, 4.0]), Histogram([1.0, 2.0, 4.0])
+        one.observe(3.0)
+        bulk.observe(3.0)
+        for v in values:
+            one.observe(v)
+        bulk.observe_many(values)
+        bulk.observe_many([])
+        assert bulk.snapshot() == one.snapshot()
+        assert bulk.total == one.total
+
 
 class TestRegistry:
     def test_get_or_create_and_type_conflict(self):
@@ -165,12 +181,23 @@ class TestSimMetrics:
         assert h.vmax == pytest.approx(report.delays_first.max)
 
     def test_stage_service_summary(self, run):
+        """The report-derived summaries equal the probe's histograms."""
         metrics, report = run
-        summary = metrics.stage_service_summary()
-        assert set(summary) == {s.name for s in report.stages}
-        for row in summary.values():
+        summary = report_summaries(report)
+        assert set(summary["stage_service"]) == {s.name for s in report.stages}
+        for name, row in summary["stage_service"].items():
+            h = metrics.registry[f"stage.{name}.service_s"]
+            assert row == {
+                "count": h.count,
+                "mean_s": h.mean,
+                "max_s": h.vmax,
+                "p99_s": h.quantile(0.99),
+            }
             assert 0 < row["mean_s"] <= row["max_s"]
-            assert row["count"] > 0
+        latency = metrics.registry["job.latency_s"].snapshot()
+        assert summary["job_latency"] == {
+            k: latency[k] for k in ("count", "mean", "max", "p99")
+        }
 
     def test_terminal_summary_renders(self, run):
         metrics, _ = run
