@@ -806,7 +806,6 @@ def _cmd_cache(args: argparse.Namespace) -> tuple[str, int]:
     lines += [
         "== curve-algebra kernel (this process) ==",
         f"enabled            {km['enabled']}",
-        f"backend            {km['backend']}",
         f"memo entries       {km['size']} / {km['max_size']}",
         f"hit rate           {rate} ({km['hits']} hits / {km['misses']} misses)",
         f"fast-path hits     {km['fast_path_hits']}",

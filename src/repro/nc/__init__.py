@@ -17,8 +17,6 @@ Quick start::
 
 from .curve import Curve, UnboundedCurveError
 from .kernel import (
-    backend,
-    backend_override,
     digest_of,
     eval_batch,
     interned,
@@ -26,10 +24,8 @@ from .kernel import (
     kernel_enabled,
     memo_stats,
     reset_kernel,
-    set_backend,
     set_kernel_enabled,
 )
-from .array_backend import PieceArray
 from .pieces import Point, Segment, envelope
 from .tolerance import EPS, EPS_STRICT, close
 from .builders import (
@@ -90,13 +86,10 @@ __all__ = [
     "UnboundedCurveError",
     "Point",
     "Segment",
-    "PieceArray",
     "envelope",
     "EPS",
     "EPS_STRICT",
     "close",
-    "backend",
-    "backend_override",
     "digest_of",
     "eval_batch",
     "interned",
@@ -104,7 +97,6 @@ __all__ = [
     "kernel_enabled",
     "memo_stats",
     "reset_kernel",
-    "set_backend",
     "set_kernel_enabled",
     "affine",
     "constant_rate",

@@ -68,9 +68,6 @@ __all__ = [
     "interned",
     "digest_of",
     "eval_batch",
-    "backend",
-    "set_backend",
-    "backend_override",
     "kernel_enabled",
     "set_kernel_enabled",
     "kernel_disabled",
@@ -90,33 +87,12 @@ def _env_enabled() -> bool:
     )
 
 
-def _env_size(name: str, default: int) -> int:
-    try:
-        n = int(os.environ.get(name, default))
-    except ValueError:
-        return default
-    return max(16, n)
-
-
-_BACKENDS = ("array", "object")
-
-
-def _env_backend() -> str:
-    raw = os.environ.get("REPRO_NC_BACKEND", "array").strip().lower()
-    if raw not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_NC_BACKEND must be one of {_BACKENDS}, got {raw!r}"
-        )
-    return raw
-
-
 _ENABLED: bool = _env_enabled()
-_BACKEND: str = _env_backend()
 
 #: memoized op results — bounded LRU, one per process
-_MEMO_MAX: int = _env_size("REPRO_NC_KERNEL_MEMO", 4096)
+_MEMO_MAX = 4096
 #: interned canonical curves — digest -> Curve, bounded LRU
-_INTERN_MAX: int = _env_size("REPRO_NC_KERNEL_INTERN", 8192)
+_INTERN_MAX = 8192
 
 _LOCK = threading.Lock()
 _MEMO: "OrderedDict[tuple, Any]" = OrderedDict()
@@ -132,39 +108,6 @@ _COUNTERS = {
     "eval_batch_calls": 0,
     "eval_batch_points": 0,
 }
-
-
-# --------------------------------------------------------------------- #
-# generic-algorithm backend (array SoA vs object piece lists)
-# --------------------------------------------------------------------- #
-#
-# The array backend (:mod:`repro.nc.array_backend`) replaces the generic
-# fallbacks of the envelope-bound binary ops with vectorized
-# implementations that are byte-identical to the object versions.
-# Substitution happens here, at dispatch, so digests, interning, the
-# memo, and the closed-form fast paths are backend-agnostic; ops without
-# an array generic (the deviation sweeps, pseudo-inverses, closure's
-# fixpoint driver) keep the generic they were called with — though any
-# convolve/deconvolve they perform internally re-enters dispatch and
-# picks up the array path.  The max-plus operators come along for free:
-# their generics are reflections ``-(op(-f, -g))`` of the public min-plus
-# ops.
-
-_ARRAY_BINARY_OPS = ("convolve", "deconvolve", "minimum", "maximum")
-_ARRAY_GENERICS: dict[str, Callable[[Curve, Curve], Any]] = {}
-
-
-def _array_generic(op: str) -> Callable[[Curve, Curve], Any] | None:
-    if op not in _ARRAY_BINARY_OPS:
-        return None
-    impl = _ARRAY_GENERICS.get(op)
-    if impl is None:
-        from . import array_backend  # deferred: avoids an import cycle
-
-        for name in _ARRAY_BINARY_OPS:
-            _ARRAY_GENERICS[name] = getattr(array_backend, name)
-        impl = _ARRAY_GENERICS[op]
-    return impl
 
 
 # --------------------------------------------------------------------- #
@@ -426,12 +369,8 @@ def binary_op(
     ``generic`` is the exact envelope-based fallback; ``key_extra``
     carries any scalar parameters that shape the result (they become
     part of the memo key).  Results that are curves are interned before
-    caching, so every caller shares one object.  Under the array backend
-    the envelope-bound generics are swapped for their vectorized
-    byte-identical counterparts (see :func:`backend`).
+    caching, so every caller shares one object.
     """
-    if _BACKEND == "array":
-        generic = _array_generic(op) or generic
     if not _ENABLED:
         fast = _FAST_BINARY.get(op)
         result = fast(f, g) if fast is not None else None
@@ -485,37 +424,6 @@ def unary_op(
 # --------------------------------------------------------------------- #
 # switches, stats, telemetry
 # --------------------------------------------------------------------- #
-
-
-def backend() -> str:
-    """The active generic-algorithm backend: ``"array"`` or ``"object"``.
-
-    Selected at import from ``REPRO_NC_BACKEND`` (default ``array``).
-    The backends are byte-identical on every operation — the switch
-    exists so the object path can serve as a differential-testing oracle
-    and a benchmark baseline, not because results differ.
-    """
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Select the generic-algorithm backend for this process."""
-    global _BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {name!r}")
-    _BACKEND = name
-
-
-@contextmanager
-def backend_override(name: str) -> Iterator[None]:
-    """Temporarily run on the named backend (tests, benchmarks)."""
-    global _BACKEND
-    prev = _BACKEND
-    set_backend(name)
-    try:
-        yield
-    finally:
-        _BACKEND = prev
 
 
 def eval_batch(curve: Curve, xs: Any) -> np.ndarray:
@@ -580,7 +488,6 @@ def memo_stats() -> dict[str, Any]:
         total = hits + misses
         return {
             "enabled": _ENABLED,
-            "backend": _BACKEND,
             "eval_batch_calls": _COUNTERS["eval_batch_calls"],
             "eval_batch_points": _COUNTERS["eval_batch_points"],
             "size": len(_MEMO),

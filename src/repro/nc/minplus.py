@@ -14,16 +14,11 @@ closed form), and taking the exact lower (resp. upper) envelope of the
 resulting bag — the algorithm used by exact NC tool-boxes (Bouillard &
 Thierry 2008).
 
-Correctness of the pairwise formulas is cross-checked against brute-force
-grid evaluation in the property-based test-suite.
-
-The generics defined here are the *object backend*: interpreted loops
-over ``Point``/``Segment`` NamedTuples.  Under ``REPRO_NC_BACKEND=array``
-(the default) the kernel swaps them at dispatch for the vectorized
-structure-of-arrays implementations in :mod:`repro.nc.array_backend`,
-which replicate this module's float arithmetic expression-for-expression
-and are therefore byte-identical — this module remains the oracle for
-the differential test-suite and the benchmark baseline.
+The generics defined here are the one generic path behind
+:mod:`repro.nc.kernel`: every memo miss that no closed-form fast path
+covers lands in them.  The property-based test-suite checks them
+against an exact rational (:class:`fractions.Fraction`) evaluation of
+the defining inf/sup.
 """
 
 from __future__ import annotations

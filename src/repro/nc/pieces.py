@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .tolerance import close
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "envelope",
     "lower_envelope_of_lines",
     "upper_envelope_of_lines",
-    "eval_pieces",
 ]
 
 class Point(NamedTuple):
@@ -292,29 +289,3 @@ def _canonicalize(
             cp.append(p)
             cs.append(s)
     return cp, cs
-
-
-def eval_pieces(points, segments, x):
-    """Evaluate a point/segment tiling at scalar or array ``x``.
-
-    The first matching piece wins: an exact point match (in bag order),
-    otherwise the first segment whose *open* interval contains ``x``;
-    raises ``ValueError`` where neither defines the function.  An
-    array-valued ``x`` broadcasts elementwise and returns an array of
-    the same shape (:mod:`repro.nc.array_backend` provides the fully
-    vectorized equivalent).  Bulk evaluation of a :class:`Curve` should
-    go through :meth:`repro.nc.curve.Curve.__call__` or
-    :func:`repro.nc.kernel.eval_batch`.
-    """
-    if isinstance(x, (list, tuple, np.ndarray)):
-        arr = np.asarray(x, dtype=float)
-        return np.array(
-            [eval_pieces(points, segments, v) for v in arr.ravel()]
-        ).reshape(arr.shape)
-    for p in points:
-        if p.x == x:
-            return p.y
-    for s in segments:
-        if s.x0 < x < s.x1:
-            return s.value_at(x)
-    raise ValueError(f"x={x} outside the function domain")

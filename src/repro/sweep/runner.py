@@ -18,8 +18,7 @@ Curve evaluations over the grid go through the kernel's batched entry
 point (:func:`repro.nc.kernel.eval_batch`) — the conformance replay a
 simulated point runs (:mod:`repro.telemetry.conformance`) evaluates the
 whole arrival record and all pairwise windows as single vectorized
-calls, and the active ``REPRO_NC_BACKEND`` (array by default) drives
-every generic curve operation the analysis performs.
+calls.
 
 Worker-pool failures degrade gracefully: if the pool cannot be created,
 the whole sweep runs serially; if a worker *dies mid-point* (OOM kill,

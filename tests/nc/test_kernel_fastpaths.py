@@ -32,6 +32,7 @@ from repro.nc import (
     deconvolve,
     delay_bound,
     digest_of,
+    eval_batch,
     interned,
     kernel_disabled,
     kernel_enabled,
@@ -42,6 +43,7 @@ from repro.nc import (
     reset_kernel,
     set_kernel_enabled,
     subadditive_closure,
+    token_bucket_stair,
     vertical_deviation,
 )
 from repro.nc.closure import _closure_generic
@@ -255,6 +257,17 @@ class TestMemoAndInterning:
             "interned_curves",
         ):
             assert key in stats
+
+    def test_eval_batch_counts_and_values(self):
+        c = token_bucket_stair(1000.0, 64.0, 8.0, n_steps=16)
+        xs = np.array([0.0, 1e-4, 0.05, 0.5])
+        got = eval_batch(c, xs)
+        assert got.shape == (4,)
+        assert np.array_equal(got, np.asarray(c(xs), dtype=float))
+        assert eval_batch(c, 0.25).shape == (1,)
+        stats = memo_stats()
+        assert stats["eval_batch_calls"] == 2
+        assert stats["eval_batch_points"] == 5
 
 
 class TestEndToEndByteIdentity:

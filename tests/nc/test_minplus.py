@@ -1,22 +1,33 @@
 """Closed-form and oracle tests for min-plus convolution/deconvolution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.nc import (
     Curve,
+    Point,
+    Segment,
     UnboundedCurveError,
     constant_rate,
     convolve,
     convolve_many,
     deconvolve,
+    envelope,
     leaky_bucket,
     rate_latency,
     self_convolve,
 )
-from .conftest import assert_curves_match_on, brute_convolve, brute_deconvolve, critical_times
+from .conftest import (
+    assert_matches_exact,
+    critical_times,
+    diff_kinks,
+    exact_convolve,
+    exact_deconvolve,
+    sum_kinks,
+)
 
 
 class TestConvolutionClosedForms:
@@ -68,11 +79,11 @@ class TestConvolutionClosedForms:
         from repro.nc import staircase
 
         st = staircase(1.0, 1.0, n_steps=8)
-        c = convolve(st, constant_rate(10.0))
+        r = constant_rate(10.0)
+        c = convolve(st, r)
         assert c(0.0) == 0.0
         assert c.final_slope == pytest.approx(1.0)
-        ts = critical_times(st, constant_rate(10.0))
-        assert_curves_match_on(c, lambda t: brute_convolve(st, constant_rate(10.0), t), ts)
+        assert_matches_exact(c, exact_convolve(st, r), sum_kinks(st, r))
 
 
 class TestConvolutionOracle:
@@ -89,9 +100,7 @@ class TestConvolutionOracle:
         ],
     )
     def test_matches_brute_force(self, f, g):
-        c = convolve(f, g)
-        ts = critical_times(f, g)
-        assert_curves_match_on(c, lambda t: brute_convolve(f, g, t), ts)
+        assert_matches_exact(convolve(f, g), exact_convolve(f, g), sum_kinks(f, g))
 
     def test_result_nondecreasing(self):
         f = Curve([0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [0.5, 4.0])
@@ -138,9 +147,7 @@ class TestDeconvolution:
         ],
     )
     def test_matches_brute_force(self, f, g):
-        o = deconvolve(f, g)
-        ts = critical_times(f, g)
-        assert_curves_match_on(o, lambda t: brute_deconvolve(f, g, t), ts)
+        assert_matches_exact(deconvolve(f, g), exact_deconvolve(f, g), diff_kinks(f, g))
 
     def test_deconvolve_by_zero_latency_is_shifted(self):
         # f (/) constant_rate(R) with f = leaky bucket of same rate
@@ -174,3 +181,23 @@ class TestDuality:
         h = deconvolve(convolve(f, g), g)
         ts = critical_times(f, g)
         assert np.all(h(ts) <= f(ts) + 1e-9)
+
+
+def test_envelope_error_messages():
+    with pytest.raises(ValueError, match="empty piece bag"):
+        envelope([], [])
+    with pytest.raises(ValueError, match="cover out to"):
+        envelope([Point(0.0, 0.0)], [Segment(0.0, 1.0, 0.0, 1.0)])
+    # a breakpoint no piece defines, and an open interval no segment covers
+    holey = (
+        [Point(0.0, 0.0)],
+        [Segment(0.0, 1.0, 0.0, 1.0), Segment(1.0, math.inf, 2.0, 0.5)],
+    )
+    with pytest.raises(ValueError, match=re.escape("undefined at x=1.0")):
+        envelope(*holey)
+    uncovered = (
+        [Point(0.0, 0.0), Point(0.5, 1.0)],
+        [Segment(1.0, math.inf, 1.0, 1.0)],
+    )
+    with pytest.raises(ValueError, match=re.escape("leaves (0.0, 0.5) uncovered")):
+        envelope(*uncovered)
