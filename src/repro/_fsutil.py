@@ -12,6 +12,13 @@ directory* — unique per call, so two threads of one process (same PID)
 or two processes racing on the same path cannot collide on the
 intermediate name, and the final rename never crosses a filesystem
 boundary.
+
+Atomic is not durable: without fsync, a host crash can lose a rename
+the program already acknowledged, or leave the new name pointing at an
+empty file.  ``durable=True`` fsyncs the temp file before the rename
+and the directory after it.  Only state that promises to survive a host
+crash asks for it (the tenant journal); caches and reports do not pay
+two fsyncs per write.
 """
 
 from __future__ import annotations
@@ -23,11 +30,14 @@ from pathlib import Path
 __all__ = ["atomic_write_text"]
 
 
-def atomic_write_text(path: "str | Path", text: str, *, encoding: str = "utf-8") -> Path:
+def atomic_write_text(
+    path: "str | Path", text: str, *, encoding: str = "utf-8", durable: bool = False
+) -> Path:
     """Write ``text`` to ``path`` atomically; returns the path.
 
     Creates parent directories as needed.  On any failure the temp file
-    is removed and the destination is left untouched.
+    is removed and the destination is left untouched.  With ``durable``
+    the write also survives a host crash once this returns.
     """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -35,6 +45,9 @@ def atomic_write_text(path: "str | Path", text: str, *, encoding: str = "utf-8")
     try:
         with os.fdopen(fd, "w", encoding=encoding) as fh:
             fh.write(text)
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, out)
     except BaseException:
         try:
@@ -42,4 +55,11 @@ def atomic_write_text(path: "str | Path", text: str, *, encoding: str = "utf-8")
         except OSError:
             pass
         raise
+    if durable:
+        # the rename lives in the directory entry: sync it too
+        dir_fd = os.open(out.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     return out

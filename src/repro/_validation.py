@@ -21,7 +21,10 @@ __all__ = [
 
 def check_finite(name: str, value: float) -> float:
     """Ensure ``value`` is a finite real number; return it as a float."""
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return v

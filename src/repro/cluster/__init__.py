@@ -30,7 +30,8 @@ pool, kernel memo, result cache — sit behind one router that
 
 * :mod:`repro.cluster.ring`         — consistent-hash ring;
 * :mod:`repro.cluster.tenants`      — tenant registry + NC bounds;
-* :mod:`repro.cluster.router`       — the routing/admission listener;
+* :mod:`repro.cluster.router`       — routing/admission dispatch on the
+  :mod:`repro.serve.service` shell;
 * :mod:`repro.cluster.shards`       — shard subprocess supervision;
 * :mod:`repro.cluster.supervisor`   — heartbeats, restart, rejoin;
 * :mod:`repro.cluster.breaker`      — per-link circuit breaker;

@@ -16,12 +16,14 @@ Format: one JSON record per line (NDJSON), ordered by ``seq``::
     {"seq": 2, "op": "reconfigure", "tenant": "acme", "rate": 80.0,
      "burst": 30.0, "slo_s": 0.25}
 
-Durability goes through :func:`repro._fsutil.atomic_write_text`: each
-append rewrites the (small — one record per registry mutation, auto-
-compacted to last-wins when it grows past a threshold) file via
-write-to-temp-then-rename, so a reader — or a router restarting after a
-crash mid-append — sees either the previous journal or the new one,
-never a torn line.  Replay is therefore total: there is no partial-
+Durability goes through :func:`repro._fsutil.atomic_write_text` with
+``durable=True``: each append rewrites the (small — one record per
+registry mutation, auto-compacted to last-wins when it grows past a
+threshold) file via write-to-temp-then-rename, fsyncing the file before
+the rename and the directory after it.  A reader — or a router
+restarting after a process or host crash mid-append — sees either the
+previous journal or the new one, never a torn line, and an append that
+returned is on disk.  Replay is therefore total: there is no partial-
 record recovery case to handle.
 """
 
@@ -123,6 +125,7 @@ class TenantJournal:
         atomic_write_text(
             self.path,
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in self._records),
+            durable=True,
         )
 
     # ------------------------------------------------------------------ #

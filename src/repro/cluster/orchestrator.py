@@ -30,15 +30,14 @@ router bounce.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import os
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..serve.engine import ServeConfig
 from ..serve.protocol import PROTOCOL_VERSION
+from ..serve.service import ServiceThread, drained_line, run_service
 from .journal import TenantJournal
 from .router import ClusterRouter, RouterConfig
 from .shards import ShardProcess
@@ -123,7 +122,12 @@ class ClusterConfig:
 
 
 class Cluster:
-    """Shard processes + router, owned by the calling asyncio loop."""
+    """Shard processes + router, owned by the calling asyncio loop.
+
+    Hosted like a single service (:func:`repro.serve.service.serve`):
+    the router's shutdown request ends it, and :meth:`drain` takes the
+    whole deployment down.
+    """
 
     def __init__(self, config: "ClusterConfig | None" = None) -> None:
         self.config = config if config is not None else ClusterConfig()
@@ -219,57 +223,38 @@ class Cluster:
             summary["restarts"] = dict(self.supervisor.restarts)
         return summary
 
+    def request_shutdown(self) -> None:
+        """Signal-safe: ask the router to drain (the cluster drain follows)."""
+        assert self.router is not None
+        self.router.request_shutdown()
 
-async def _amain(config: ClusterConfig, *, install_signals: bool = True,
-                 ready: "threading.Event | None" = None,
-                 handle: "ClusterThread | None" = None) -> dict[str, Any]:
-    cluster = Cluster(config)
-    host, port = await cluster.start()
-    assert cluster.router is not None
-    if install_signals:
-        import signal
+    async def wait_shutdown(self) -> None:
+        assert self.router is not None
+        await self.router.wait_shutdown()
 
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-                loop.add_signal_handler(sig, cluster.router.request_shutdown)
-    if handle is not None:
-        handle._attach(cluster, asyncio.get_running_loop())
-    print(
-        f"repro-cluster [router] listening on {host}:{port} "
-        f"(pid {os.getpid()}, {config.shards} shard(s) x "
-        f"{config.workers_per_shard} worker(s), protocol v{PROTOCOL_VERSION})",
-        flush=True,
-    )
-    for shard in cluster.shards:
-        print(
-            f"repro-cluster [router]   {shard.name} at {shard.host}:{shard.port}",
-            flush=True,
+    def banner(self, host: str, port: int) -> str:
+        cfg = self.config
+        return "\n".join([
+            f"repro-cluster [router] listening on {host}:{port} "
+            f"(pid {os.getpid()}, {cfg.shards} shard(s) x "
+            f"{cfg.workers_per_shard} worker(s), protocol v{PROTOCOL_VERSION})",
+            *(f"repro-cluster [router]   {shard.name} at {shard.host}:{shard.port}"
+              for shard in self.shards),
+        ])
+
+    def drained(self, summary: dict[str, Any]) -> str:
+        return (
+            drained_line("repro-cluster [router]", summary)
+            + f", shard exits {summary['shard_exit_codes']}"
         )
-    if ready is not None:
-        ready.set()
-    await cluster.router.wait_shutdown()
-    summary = await cluster.drain()
-    verdict = "clean" if summary["clean"] else f"DROPPED {summary['dropped']}"
-    print(
-        f"repro-cluster [router] drained ({verdict}): "
-        f"{summary['served']} served, {summary['rejected']} rejected, "
-        f"{summary['dropped']} dropped, shard exits "
-        f"{summary['shard_exit_codes']}",
-        flush=True,
-    )
-    return summary
 
 
 def run(config: "ClusterConfig | None" = None) -> int:
     """Blocking entry point (the ``repro cluster start`` command body)."""
-    summary = asyncio.run(
-        _amain(config if config is not None else ClusterConfig())
-    )
-    return 0 if summary["clean"] else 1
+    return run_service(Cluster(config))
 
 
-class ClusterThread:
+class ClusterThread(ServiceThread):
     """A full cluster hosted on a background thread — the test harness.
 
     Real shard subprocesses, real router sockets, real drain::
@@ -279,83 +264,26 @@ class ClusterThread:
             ...
     """
 
+    role = "cluster"
+
     def __init__(self, config: "ClusterConfig | None" = None, *,
                  start_timeout: float = 300.0) -> None:
         self.config = config if config is not None else ClusterConfig()
-        self.summary: "dict[str, Any] | None" = None
-        self.error: "BaseException | None" = None
-        self._cluster: "Cluster | None" = None
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="repro-cluster"
-        )
-        self._thread.start()
-        if not self._ready.wait(start_timeout):
-            raise TimeoutError("cluster thread failed to start in time")
-        if self.error is not None:
-            raise RuntimeError(f"cluster thread failed: {self.error}") from self.error
-
-    def _attach(self, cluster: Cluster, loop: asyncio.AbstractEventLoop) -> None:
-        self._cluster = cluster
-        self._loop = loop
-
-    def _run(self) -> None:
-        try:
-            self.summary = asyncio.run(
-                _amain(self.config, install_signals=False, ready=self._ready,
-                       handle=self)
-            )
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the creating thread
-            self.error = exc
-            self._ready.set()
+        super().__init__(lambda: Cluster(self.config), start_timeout=start_timeout)
 
     @property
     def cluster(self) -> Cluster:
-        assert self._cluster is not None
-        return self._cluster
+        return self.app
 
     @property
     def router(self) -> ClusterRouter:
-        assert self._cluster is not None and self._cluster.router is not None
-        return self._cluster.router
+        assert self.app.router is not None
+        return self.app.router
 
     @property
     def shards(self) -> list[ShardProcess]:
-        assert self._cluster is not None
-        return self._cluster.shards
+        return self.app.shards
 
     @property
     def supervisor(self) -> "ShardSupervisor | None":
-        assert self._cluster is not None
-        return self._cluster.supervisor
-
-    @property
-    def host(self) -> str:
-        assert self._cluster is not None
-        return self._cluster.host
-
-    @property
-    def port(self) -> int:
-        assert self._cluster is not None and self._cluster.port is not None
-        return self._cluster.port
-
-    def stop(self, timeout: float = 120.0) -> dict[str, Any]:
-        """Graceful drain (same path as SIGTERM); returns the summary."""
-        if self._loop is not None and self._thread.is_alive():
-            router = self.router
-            self._loop.call_soon_threadsafe(router.request_shutdown)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError("cluster thread did not drain in time")
-        if self.error is not None:
-            raise RuntimeError(f"cluster thread failed: {self.error}") from self.error
-        assert self.summary is not None
-        return self.summary
-
-    def __enter__(self) -> "ClusterThread":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._thread.is_alive():
-            self.stop()
+        return self.app.supervisor

@@ -1,7 +1,11 @@
 """The cluster router: digest-affinity forwarding + tenant admission.
 
 One asyncio process that speaks the same NDJSON protocol as a shard
-(:mod:`repro.serve.protocol`) and sits in front of N shards:
+(:mod:`repro.serve.protocol`) and sits in front of N shards.  It is a
+:class:`~repro.serve.service.NdjsonService`, so listener, framing,
+in-flight accounting and drain are the shell's; this module adds the
+dispatch, the beta rollup at startup, and the release of the shard
+links:
 
 * **Routing** — evaluation requests are hashed by the *content digest*
   (:func:`repro.sweep.cache.point_key` over model+params+options, the
@@ -64,16 +68,14 @@ from ..nc.curve import Curve
 from ..sweep.cache import point_key
 from ..telemetry.metrics import MetricsRegistry
 from ..serve.protocol import (
-    EVAL_OPS,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
-    ProtocolError,
     Request,
     encode,
     error_response,
     ok_response,
-    parse_request,
 )
+from ..serve.service import NdjsonService
 from .breaker import CircuitBreaker
 from .journal import TenantJournal
 from .ring import HashRing
@@ -205,8 +207,10 @@ class ShardLink:
         self._free.clear()
 
 
-class ClusterRouter:
+class ClusterRouter(NdjsonService):
     """The listener that fronts the shard set."""
+
+    prefix = "cluster"
 
     def __init__(
         self,
@@ -219,13 +223,16 @@ class ClusterRouter:
         if not shards:
             raise ValueError("ClusterRouter needs at least one shard")
         self.config = config if config is not None else RouterConfig()
+        super().__init__(
+            self.config.host, self.config.port,
+            drain_timeout_s=self.config.drain_timeout_s, metrics=MetricsRegistry(),
+        )
         self.links = {
             name: self._make_link(name, host, port) for name, host, port in shards
         }
         self.ring = HashRing(self.links, vnodes=self.config.vnodes)
         self.registry = registry if registry is not None else TenantRegistry()
         self.journal = journal
-        self.metrics = MetricsRegistry()
         self.down: set[str] = set()
         #: bumped on every membership change (shard lost or rejoined);
         #: lets clients and the chaos harness observe ring transitions
@@ -233,64 +240,24 @@ class ClusterRouter:
         #: attached by the orchestrator when supervision is enabled
         self.supervisor: "Any | None" = None
         self._beta_refresh_task: "asyncio.Task[Any] | None" = None
-        self.host = self.config.host
-        self.port: "int | None" = None
         self.beta: "Curve | None" = None
         self.beta_info: "dict[str, Any] | None" = None
-        self._server: "asyncio.base_events.Server | None" = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._draining = False
-        self._shutdown_requested = asyncio.Event()
 
     # ------------------------------------------------------------------ #
-    # lifecycle
+    # lifecycle (the shell drives it)
     # ------------------------------------------------------------------ #
 
-    async def start(self) -> tuple[str, int]:
+    async def _startup(self) -> None:
         await self.refresh_beta()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES,
-        )
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
-        return self.host, self.port
 
-    def request_shutdown(self) -> None:
-        self._shutdown_requested.set()
-
-    async def wait_shutdown(self) -> None:
-        await self._shutdown_requested.wait()
-
-    async def drain(self) -> dict[str, Any]:
-        """Stop accepting, answer in-flight requests, close shard links."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        dropped = 0
-        try:
-            await asyncio.wait_for(self._idle.wait(), self.config.drain_timeout_s)
-        except asyncio.TimeoutError:
-            dropped = self._inflight
+    async def _release(self) -> None:
+        """Stop the beta refresh and close the shard links."""
         if self._beta_refresh_task is not None and not self._beta_refresh_task.done():
             self._beta_refresh_task.cancel()
             with contextlib.suppress(asyncio.CancelledError, ShardDown):
                 await self._beta_refresh_task
         for link in self.links.values():
             await link.aclose()
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
-        return {
-            "served": int(self.metrics.counter("cluster.responses").value),
-            "rejected": int(self.metrics.counter("cluster.rejected").value),
-            "dropped": dropped,
-            "clean": dropped == 0,
-        }
 
     # ------------------------------------------------------------------ #
     # cluster beta (rolled up from shard self-models)
@@ -418,72 +385,8 @@ class ClusterRouter:
         await self.refresh_beta()
 
     # ------------------------------------------------------------------ #
-    # connection plumbing (same frame discipline as AnalysisServer)
+    # dispatch
     # ------------------------------------------------------------------ #
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            import socket as _socket
-
-            with contextlib.suppress(OSError):
-                sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-        self._writers.add(writer)
-        try:
-            while not self._draining:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(encode(error_response(
-                        None, status=413, code="too_large",
-                        message=f"request line exceeds {MAX_LINE_BYTES} bytes",
-                    )))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                self._inflight += 1
-                self._idle.clear()
-                try:
-                    response = await self._serve_line(line)
-                    writer.write(encode(response))
-                    await writer.drain()
-                finally:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle.set()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes) -> dict[str, Any]:
-        self.metrics.counter("cluster.requests").inc()
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            self.metrics.counter("cluster.errors").inc()
-            return error_response(None, status=exc.status, code=exc.code, message=str(exc))
-        try:
-            response = await self._dispatch(request, line)
-        except Exception as exc:  # noqa: BLE001 - a request must never kill the router
-            self.metrics.counter("cluster.errors").inc()
-            response = error_response(
-                request.id, status=500, code="internal",
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        if response.get("ok"):
-            self.metrics.counter("cluster.responses").inc()
-        else:
-            self.metrics.counter("cluster.errors").inc()
-        return response
 
     async def _dispatch(self, req: Request, raw: bytes) -> dict[str, Any]:
         if req.op == "ping":
@@ -506,7 +409,7 @@ class ClusterRouter:
         if req.op == "shutdown":
             self.request_shutdown()
             return ok_response(req.id, {"draining": True})
-        if self._draining:
+        if self.draining:
             return error_response(
                 req.id, status=503, code="draining", message="router is draining"
             )
@@ -529,9 +432,9 @@ class ClusterRouter:
         if self.journal is not None:
             # journaled *after* validation succeeded, *before* the
             # response: a registration the client saw acknowledged is
-            # durable across a router bounce.  (Registrations are rare
-            # control-plane ops; the small atomic rewrite is fine on
-            # the event loop.)
+            # durable across a router bounce or a host crash.
+            # (Registrations are rare control-plane ops; the small
+            # fsync'd rewrite is fine on the event loop.)
             self.journal.append(
                 op, tenant.name, tenant.rate, tenant.burst, slo_s=tenant.slo_s
             )
@@ -578,7 +481,7 @@ class ClusterRouter:
             "router": self.metrics.snapshot(),
             "shards": shards,
             "down": sorted(self.down),
-            "inflight": self._inflight,
+            "inflight": self.inflight,
             "ring_epoch": self.ring_epoch,
             "breakers": {
                 name: (link.breaker.snapshot() if link.breaker is not None else None)

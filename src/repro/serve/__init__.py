@@ -13,7 +13,10 @@ break it.
 * :mod:`repro.serve.protocol`  — newline-delimited-JSON wire schema;
 * :mod:`repro.serve.admission` — token bucket + NC self-model;
 * :mod:`repro.serve.batching`  — job-ratio request coalescing;
-* :mod:`repro.serve.server`    — asyncio listener + process pool;
+* :mod:`repro.serve.service`   — the NDJSON shell: listener, framing,
+  in-flight accounting, drain (shared with the cluster router);
+* :mod:`repro.serve.engine`    — admission, cache, coalescing, process pool;
+* :mod:`repro.serve.server`    — single-node dispatch over the engine;
 * :mod:`repro.serve.client`    — blocking client (``repro request``).
 
 Served evaluations share content-addressed cache entries with

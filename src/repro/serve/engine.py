@@ -9,10 +9,11 @@ handlers, prints nothing, and keeps no module-level mutable state; one
 engine owns exactly one worker pool, one result cache, one NC
 self-model, and one coalescer.
 
-The split is listener/engine: the server parses frames and manages
-connections; the engine is everything behind the frame — admission,
-cache lookup, coalescing, pool dispatch, and the ``/capacity`` and
-``/stats`` introspection bodies.
+The split is shell/engine: the host (:class:`~repro.serve.service.
+NdjsonService`) parses frames, manages connections and counts in-flight
+requests; the engine is everything behind the frame — admission, cache
+lookup, coalescing, pool dispatch, and the ``/capacity`` and ``/stats``
+introspection bodies.
 """
 
 from __future__ import annotations
@@ -112,10 +113,13 @@ class AnalysisEngine:
     """One shard's evaluation machinery: pool, cache, self-model, admission.
 
     Host contract: call :meth:`start` from the owning loop before the
-    first :meth:`evaluate`; call :meth:`aclose` (after waiting out
-    :attr:`idle` if a lossless drain is wanted) when done.  Everything
-    in between is loop-confined — the engine is not thread-safe, by
-    design: one engine per loop, like one shard per loop.
+    first :meth:`evaluate`.  The host counts its own in-flight requests
+    and draining state, passes them to :meth:`capacity` and
+    :meth:`stats`, stops calling :meth:`evaluate` once it drains, and
+    calls :meth:`aclose` after waiting out in-flight work if a lossless
+    drain is wanted.  Everything in between is loop-confined — the
+    engine is not thread-safe, by design: one engine per loop, like one
+    shard per loop.
     """
 
     def __init__(self, config: "ServeConfig | None" = None) -> None:
@@ -132,10 +136,6 @@ class AnalysisEngine:
             max_batch=self.config.max_batch,
         )
         self.executor: "ProcessPoolExecutor | None" = None
-        self._inflight = 0
-        self.idle = asyncio.Event()
-        self.idle.set()
-        self.draining = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -202,26 +202,11 @@ class AnalysisEngine:
         else:
             self.admission = None  # open door: no envelope configured
 
-    async def aclose(self, *, drain_timeout_s: "float | None" = None) -> int:
-        """Flush forming batches, wait for in-flight work, stop the pool.
-
-        Returns the number of admitted requests that could not be
-        answered (0 on a lossless close).
-        """
-        self.draining = True
+    async def aclose(self) -> None:
+        """Flush forming batches and stop the pool (after its tasks finish)."""
         await self.coalescer.flush()
-        timeout = (
-            drain_timeout_s if drain_timeout_s is not None
-            else self.config.drain_timeout_s
-        )
-        dropped = 0
-        try:
-            await asyncio.wait_for(self.idle.wait(), timeout)
-        except asyncio.TimeoutError:
-            dropped = self._inflight
         if self.executor is not None:
             self.executor.shutdown(wait=True)
-        return dropped
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -245,26 +230,8 @@ class AnalysisEngine:
             list(seeds),
         )
 
-    def begin(self) -> None:
-        """Track one in-flight request (drain waits for the count to hit 0)."""
-        self._inflight += 1
-        self.idle.clear()
-
-    def end(self) -> None:
-        self._inflight -= 1
-        if self._inflight == 0:
-            self.idle.set()
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
     async def evaluate(self, req: Request) -> dict[str, Any]:
         """Admission -> cache -> coalesced pool dispatch for one request."""
-        if self.draining:
-            return error_response(
-                req.id, status=503, code="draining", message="server is draining"
-            )
         if req.tenant is not None:
             self.metrics.counter(f"serve.tenant.{req.tenant}.requests").inc()
         if self.admission is not None:
@@ -328,7 +295,7 @@ class AnalysisEngine:
     # introspection
     # ------------------------------------------------------------------ #
 
-    def capacity(self) -> dict[str, Any]:
+    def capacity(self, *, inflight: int, draining: bool) -> dict[str, Any]:
         """The shard's NC self-model (the ``/capacity`` response body)."""
         if self.admission is not None:
             report = self.admission.capacity_report()
@@ -344,15 +311,15 @@ class AnalysisEngine:
                 "rejected_slo": 0,
             }
         report["name"] = self.config.name
-        report["inflight"] = self._inflight
+        report["inflight"] = inflight
         report["batch_window_s"] = self.config.batch_window_s
-        report["draining"] = self.draining
+        report["draining"] = draining
         # the serving process runs its own NC algebra for admission
         # control; expose that kernel's memo health alongside the model
         report["kernel_memo"] = kernel_memo_stats()
         return report
 
-    def stats(self) -> dict[str, Any]:
+    def stats(self, *, inflight: int) -> dict[str, Any]:
         """Counters, latency histograms, cache and batching effectiveness."""
         publish_kernel_metrics(self.metrics)
         return {
@@ -361,5 +328,5 @@ class AnalysisEngine:
             "cache": self.cache.stats() if self.cache is not None else None,
             "batching": self.coalescer.stats(),
             "kernel_memo": kernel_memo_stats(),
-            "inflight": self._inflight,
+            "inflight": inflight,
         }

@@ -242,7 +242,9 @@ def parse_request(line: "str | bytes") -> Request:
             raise ProtocolError(f"request is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, the int-digit limit, or nesting deeper than
+        # the decoder's recursion limit
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError(f"request must be a JSON object, got {type(doc).__name__}")
@@ -250,14 +252,16 @@ def parse_request(line: "str | bytes") -> Request:
     if unknown:
         raise ProtocolError(f"unknown request key(s) {sorted(unknown)}")
     version = doc.get("v", PROTOCOL_VERSION)
-    if version != PROTOCOL_VERSION:
+    if isinstance(version, bool) or version != PROTOCOL_VERSION:  # True == 1
         raise ProtocolError(
             f"unsupported protocol version {version!r} (this server speaks "
             f"v{PROTOCOL_VERSION})",
             code="bad_version",
         )
     req_id = doc.get("id")
-    if req_id is not None and not isinstance(req_id, (str, int)):
+    if req_id is not None and (
+        isinstance(req_id, bool) or not isinstance(req_id, (str, int))
+    ):
         raise ProtocolError("'id' must be a string or integer")
     op = doc.get("op")
     if op not in OPS:

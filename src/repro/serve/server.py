@@ -1,8 +1,9 @@
-"""The asyncio analysis server: connections, drain, signal plumbing.
+"""The single-node analysis server: the service shell over one engine.
 
 Architecture (stdlib only)::
 
     TCP clients --(NDJSON)--> asyncio event loop
+        -> framing, in-flight, drain           (repro.serve.service)
         -> strict protocol validation          (repro.serve.protocol)
         -> one AnalysisEngine                  (repro.serve.engine)
             -> admission control               (repro.serve.admission)
@@ -14,211 +15,73 @@ Architecture (stdlib only)::
     the event loop only ever parses lines, checks tokens, and reads
     small cache files — it never blocks on a curve convolution.
 
-The server is a thin shell over :class:`~repro.serve.engine.
-AnalysisEngine`: it owns the listener socket, the connection set, and
-the drain sequencing, while the engine owns the pool, cache, self-model
-and admission.  The split is what makes a shard embeddable — the
-cluster tier (:mod:`repro.cluster`) runs the same engine behind the
-same listener in N independent processes.
+:class:`AnalysisServer` is a :class:`~repro.serve.service.NdjsonService`
+that owns one :class:`~repro.serve.engine.AnalysisEngine`: the shell
+handles sockets, framing, in-flight accounting and the drain; this
+module adds only the single-node dispatch, engine startup (pool,
+calibration, admission) and engine release (the pool).  The cluster
+tier (:mod:`repro.cluster`) runs the same server in N shard processes.
 
 Lifecycle: ``start()`` spins up the pool, runs a calibration pass
 (which both pre-imports NumPy in the workers and primes the NC
 self-model with measured service times), derives the admission envelope
 when asked, and begins accepting.  SIGTERM/SIGINT request a graceful
-drain: the listener closes, forming batches flush, in-flight requests
-complete and are answered, idle connections close, the pool shuts down
-— no admitted request is ever dropped.
+drain: the listener closes, in-flight requests (a forming batch
+included, when its window closes) complete and are answered within
+``drain_timeout_s``, the pool shuts down, and the connections close.
+The exit code is 0 iff no admitted request was dropped.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import os
-import threading
 from typing import Any
 
 from .. import __version__
 from .engine import AnalysisEngine, ServeConfig
 from .protocol import (
     CLUSTER_OPS,
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
-    ProtocolError,
     Request,
-    encode,
     error_response,
     ok_response,
-    parse_request,
 )
+from .service import NdjsonService, ServiceThread, drained_line, run_service
 
 __all__ = ["ServeConfig", "AnalysisServer", "run", "ServerThread"]
 
 
-class AnalysisServer:
-    """One serving process: listener + connection handling over an engine."""
+class AnalysisServer(NdjsonService):
+    """One serving process: the NDJSON shell over an :class:`AnalysisEngine`."""
+
+    prefix = "serve"
 
     def __init__(self, config: "ServeConfig | None" = None) -> None:
         self.config = config if config is not None else ServeConfig()
         self.engine = AnalysisEngine(self.config)
-        self.host = self.config.host
-        self.port: "int | None" = None
-        self._server: "asyncio.base_events.Server | None" = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._dropped = 0
-        self._draining = False
-        self._shutdown_requested = asyncio.Event()
-
-    # engine aliases (the embeddable state lives on the engine) -------- #
-
-    @property
-    def metrics(self):
-        return self.engine.metrics
-
-    @property
-    def cache(self):
-        return self.engine.cache
-
-    @property
-    def model(self):
-        return self.engine.model
-
-    @property
-    def admission(self):
-        return self.engine.admission
-
-    @property
-    def coalescer(self):
-        return self.engine.coalescer
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    async def start(self) -> tuple[str, int]:
-        """Start the engine (pool, calibration, admission), begin accepting."""
-        cfg = self.config
-        await self.engine.start()
-        self._server = await asyncio.start_server(
-            self._on_connection, cfg.host, cfg.port, limit=MAX_LINE_BYTES
+        super().__init__(
+            self.config.host, self.config.port,
+            drain_timeout_s=self.config.drain_timeout_s, metrics=self.engine.metrics,
         )
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
-        return self.host, self.port
 
-    def request_shutdown(self) -> None:
-        """Signal-safe: ask the serve loop to drain and exit."""
-        self._shutdown_requested.set()
+    async def _startup(self) -> None:
+        await self.engine.start()
 
-    async def wait_shutdown(self) -> None:
-        await self._shutdown_requested.wait()
+    async def _release(self) -> None:
+        await self.engine.aclose()
 
-    async def drain(self) -> dict[str, Any]:
-        """Stop accepting, finish in-flight work, release resources.
-
-        Returns the drain summary; ``dropped`` is the number of
-        admitted requests that could not be answered (0 on a clean
-        drain — the SIGTERM contract).
-        """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        self._dropped += await self.engine.aclose()
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
-        served = int(self.engine.metrics.counter("serve.responses").value)
-        return {
-            "served": served,
-            "rejected": int(self.engine.metrics.counter("serve.rejected").value),
-            "dropped": self._dropped,
-            "clean": self._dropped == 0,
-        }
-
-    # ------------------------------------------------------------------ #
-    # request plumbing
-    # ------------------------------------------------------------------ #
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            import socket as _socket
-
-            with contextlib.suppress(OSError):
-                # responses are single small frames; disable Nagle so
-                # they leave immediately instead of waiting out an ACK
-                sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-        self._writers.add(writer)
-        try:
-            while not self._draining:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        encode(
-                            error_response(
-                                None,
-                                status=413,
-                                code="too_large",
-                                message=f"request line exceeds {MAX_LINE_BYTES} bytes",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break  # EOF
-                if not line.strip():
-                    continue
-                self.engine.begin()
-                try:
-                    response = await self._serve_line(line)
-                    writer.write(encode(response))
-                    await writer.drain()
-                finally:
-                    self.engine.end()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished mid-exchange; nothing to answer
-        finally:
-            self._writers.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes) -> dict[str, Any]:
-        self.engine.metrics.counter("serve.requests").inc()
-        try:
-            request = parse_request(line)
-        except ProtocolError as exc:
-            self.engine.metrics.counter("serve.errors").inc()
-            return error_response(None, status=exc.status, code=exc.code, message=str(exc))
-        try:
-            response = await self._dispatch(request)
-        except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
-            self.engine.metrics.counter("serve.errors").inc()
-            response = error_response(
-                request.id, status=500, code="internal",
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        if response.get("ok"):
-            self.engine.metrics.counter("serve.responses").inc()
-        else:
-            self.engine.metrics.counter("serve.errors").inc()
-        return response
-
-    async def _dispatch(self, req: Request) -> dict[str, Any]:
+    async def _dispatch(self, req: Request, raw: bytes) -> dict[str, Any]:
         if req.op == "ping":
             return ok_response(
                 req.id,
                 {"pong": True, "version": __version__, "protocol": PROTOCOL_VERSION},
             )
         if req.op == "capacity":
-            return ok_response(req.id, self.engine.capacity())
+            return ok_response(
+                req.id, self.engine.capacity(inflight=self.inflight, draining=self.draining)
+            )
         if req.op == "stats":
-            return ok_response(req.id, self.engine.stats())
+            return ok_response(req.id, self.engine.stats(inflight=self.inflight))
         if req.op == "shutdown":
             self.request_shutdown()
             return ok_response(req.id, {"draining": True})
@@ -230,48 +93,21 @@ class AnalysisServer:
                 message=f"op {req.op!r} is served by the cluster router, "
                 "not a single shard (see `repro cluster`)",
             )
-        if self._draining:
+        if self.draining:
             return error_response(
                 req.id, status=503, code="draining", message="server is draining"
             )
         return await self.engine.evaluate(req)
 
+    def banner(self, host: str, port: int) -> str:
+        return (
+            f"repro-serve [{self.config.name}] listening on {host}:{port} "
+            f"(pid {os.getpid()}, workers {self.engine.model.workers}, "
+            f"protocol v{PROTOCOL_VERSION})"
+        )
 
-async def _amain(config: ServeConfig, *, install_signals: bool = True,
-                 ready: "threading.Event | None" = None,
-                 handle: "ServerThread | None" = None,
-                 on_ready=None) -> dict[str, Any]:
-    server = AnalysisServer(config)
-    host, port = await server.start()
-    if install_signals:
-        import signal
-
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-                loop.add_signal_handler(sig, server.request_shutdown)
-    if handle is not None:
-        handle._attach(server, asyncio.get_running_loop())
-    print(
-        f"repro-serve [{config.name}] listening on {host}:{port} "
-        f"(pid {os.getpid()}, workers {server.model.workers}, "
-        f"protocol v{PROTOCOL_VERSION})",
-        flush=True,
-    )
-    if on_ready is not None:
-        on_ready(host, port)
-    if ready is not None:
-        ready.set()
-    await server.wait_shutdown()
-    summary = await server.drain()
-    verdict = "clean" if summary["clean"] else f"DROPPED {summary['dropped']}"
-    print(
-        f"repro-serve [{config.name}] drained ({verdict}): "
-        f"{summary['served']} served, "
-        f"{summary['rejected']} rejected, {summary['dropped']} dropped",
-        flush=True,
-    )
-    return summary
+    def drained(self, summary: dict[str, Any]) -> str:
+        return drained_line(f"repro-serve [{self.config.name}]", summary)
 
 
 def run(config: "ServeConfig | None" = None, *, on_ready=None) -> int:
@@ -281,13 +117,10 @@ def run(config: "ServeConfig | None" = None, *, on_ready=None) -> int:
     ``on_ready(host, port)`` fires once the listener is bound — cluster
     shard processes use it to report their ephemeral port upstream.
     """
-    summary = asyncio.run(
-        _amain(config if config is not None else ServeConfig(), on_ready=on_ready)
-    )
-    return 0 if summary["clean"] else 1
+    return run_service(AnalysisServer(config), on_ready=on_ready)
 
 
-class ServerThread:
+class ServerThread(ServiceThread):
     """A server hosted on a background thread — the test/benchmark harness.
 
     Runs the full production path (real sockets, real worker pool,
@@ -301,58 +134,8 @@ class ServerThread:
     the drain summary.
     """
 
+    role = "server"
+
     def __init__(self, config: "ServeConfig | None" = None, *, start_timeout: float = 60.0) -> None:
         self.config = config if config is not None else ServeConfig()
-        self.summary: "dict[str, Any] | None" = None
-        self.error: "BaseException | None" = None
-        self._server: "AnalysisServer | None" = None
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True, name="repro-serve")
-        self._thread.start()
-        if not self._ready.wait(start_timeout):
-            raise TimeoutError("server thread failed to start in time")
-        if self.error is not None:
-            raise RuntimeError(f"server thread failed: {self.error}") from self.error
-
-    def _attach(self, server: AnalysisServer, loop: asyncio.AbstractEventLoop) -> None:
-        self._server = server
-        self._loop = loop
-
-    def _run(self) -> None:
-        try:
-            self.summary = asyncio.run(
-                _amain(self.config, install_signals=False, ready=self._ready, handle=self)
-            )
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the creating thread
-            self.error = exc
-            self._ready.set()
-
-    @property
-    def host(self) -> str:
-        assert self._server is not None
-        return self._server.host
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None and self._server.port is not None
-        return self._server.port
-
-    def stop(self, timeout: float = 60.0) -> dict[str, Any]:
-        """Graceful drain (same path as SIGTERM); returns the summary."""
-        if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._server.request_shutdown)
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise TimeoutError("server thread did not drain in time")
-        if self.error is not None:
-            raise RuntimeError(f"server thread failed: {self.error}") from self.error
-        assert self.summary is not None
-        return self.summary
-
-    def __enter__(self) -> "ServerThread":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._thread.is_alive():
-            self.stop()
+        super().__init__(lambda: AnalysisServer(self.config), start_timeout=start_timeout)

@@ -10,6 +10,8 @@ acceptance criterion for durable tenant state.
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -61,6 +63,21 @@ class TestAppendAndReplay:
                         '"rate": 1.0, "burst": 1.0, "slo_s": null}\n{"seq": 2,\n')
         with pytest.raises(ValueError, match="line 2"):
             TenantJournal(path)
+
+    def test_append_fsyncs_the_file_then_its_directory(self, tmp_path, monkeypatch):
+        path = tmp_path / "j.ndjson"
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            synced.append((kind, path.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        TenantJournal(path).append("register", "acme", 50.0, 20.0)
+        # the temp file before its rename, the directory entry after it
+        assert synced == [("file", False), ("dir", True)]
 
 
 class TestCompaction:

@@ -63,7 +63,12 @@ class TestParseRequest:
 
     @pytest.mark.parametrize(
         "line",
-        ["", "not json", "[1, 2]", '"str"', "123"],
+        [
+            "", "not json", "[1, 2]", '"str"', "123",
+            # decoder failures that are not JSONDecodeError
+            pytest.param("[" * 100_000, id="deep-nesting"),
+            pytest.param('{"op": "ping", "id": ' + "7" * 5000 + "}", id="int-digit-limit"),
+        ],
     )
     def test_non_object_rejected(self, line):
         with pytest.raises(ProtocolError) as exc:
@@ -74,9 +79,10 @@ class TestParseRequest:
         with pytest.raises(ProtocolError, match="unknown request key"):
             parse_request(_line(op="ping", extra=1))
 
-    def test_version_mismatch(self):
+    @pytest.mark.parametrize("version", [99, True], ids=["99", "true"])
+    def test_version_mismatch(self, version):
         with pytest.raises(ProtocolError) as exc:
-            parse_request(_line(v=99, op="ping"))
+            parse_request(_line(v=version, op="ping"))
         assert exc.value.code == "bad_version"
 
     def test_unknown_op(self):
@@ -84,9 +90,10 @@ class TestParseRequest:
             parse_request(_line(op="frobnicate"))
         assert exc.value.code == "unknown_op"
 
-    def test_bad_id_type(self):
+    @pytest.mark.parametrize("bad", [[1], True], ids=["list", "true"])
+    def test_bad_id_type(self, bad):
         with pytest.raises(ProtocolError, match="'id'"):
-            parse_request(_line(op="ping", id=[1]))
+            parse_request(_line(op="ping", id=bad))
 
     @pytest.mark.parametrize("op", EVAL_OPS)
     def test_eval_ops_require_model(self, op):
@@ -122,7 +129,9 @@ class TestParams:
         with pytest.raises(ProtocolError, match="must be a number or string"):
             parse_request(_line(op="analyze", model=MODEL, params={"x": bad}))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-overflow")]
+    )
     def test_non_finite_rejected(self, bad):
         line = json.dumps(
             {"op": "analyze", "model": MODEL, "params": {"x": bad}}

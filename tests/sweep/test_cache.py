@@ -1,6 +1,7 @@
 """Tests for the content-addressed result cache."""
 
 import json
+import os
 
 from repro.sweep import ResultCache, canonical_json, point_key
 
@@ -127,6 +128,13 @@ class TestAtomicWrites:
         cache.put(key, {"ok": True})
         leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
         assert leftovers == []
+
+    def test_put_never_fsyncs(self, tmp_path, monkeypatch):
+        # an accelerator, not durable state: a sweep writes one entry per point
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        ResultCache(tmp_path).put(point_key(MODEL, {}, OPTS), {"ok": True})
+        assert synced == []
 
     def test_concurrent_put_of_same_key_never_tears(self, tmp_path):
         import json as _json
