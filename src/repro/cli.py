@@ -776,7 +776,6 @@ def _cmd_cluster(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_cache(args: argparse.Namespace) -> tuple[str, int]:
-    from .nc.kernel import memo_stats
     from .sweep import ResultCache
     from .units import format_seconds
 
@@ -801,19 +800,6 @@ def _cmd_cache(args: argparse.Namespace) -> tuple[str, int]:
     if stats["oldest_age_s"] is not None:
         lines.append(f"oldest entry       {format_seconds(stats['oldest_age_s'])} ago")
         lines.append(f"newest entry       {format_seconds(stats['newest_age_s'])} ago")
-    km = memo_stats()
-    rate = "n/a" if km["hit_rate"] is None else f"{km['hit_rate']:.0%}"
-    lines += [
-        "== curve-algebra kernel (this process) ==",
-        f"enabled            {km['enabled']}",
-        f"memo entries       {km['size']} / {km['max_size']}",
-        f"hit rate           {rate} ({km['hits']} hits / {km['misses']} misses)",
-        f"fast-path hits     {km['fast_path_hits']}",
-        f"evictions          {km['evictions']}",
-        f"interned curves    {km['interned_curves']}",
-        f"batched evals      {km['eval_batch_calls']} calls"
-        f" / {km['eval_batch_points']} points",
-    ]
     return "\n".join(lines), 0
 
 

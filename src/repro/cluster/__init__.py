@@ -3,12 +3,12 @@
 The scaled-out form of :mod:`repro.serve`, built from the paper's own
 multi-flow machinery (ROADMAP item 2).  N independent shards — each a
 full single-node serving stack in its own process: asyncio loop, worker
-pool, kernel memo, result cache — sit behind one router that
+pool, result cache — sit behind one router that
 
 1. **routes by content digest**: requests hash by the same
    :func:`repro.sweep.cache.point_key` the caches use, on a consistent
    ring (:mod:`repro.cluster.ring`), so identical analyses land on the
-   same shard and its memo/cache stay hot;
+   same shard and its cache stays hot;
 2. **admits by tenant**: every tenant declares a leaky bucket
    ``alpha_i(t) = R_i t + b_i``; the router enforces it and holds the
    paper's §3 aggregate ``sum alpha_i`` against the cluster service

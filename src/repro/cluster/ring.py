@@ -3,10 +3,9 @@
 The router hashes each evaluation request by the same content digest
 the sweep cache derives (:func:`repro.sweep.cache.point_key`), so the
 *same analysis always lands on the same shard* — which keeps that
-shard's result cache and per-worker curve-algebra memo hot.  The memo
-hit rates measured in ``BENCH_nc_ops.json`` (~0.84) only materialize
-under affinity: spraying identical requests across shards resets every
-shard's memo to cold.
+shard's result cache hot.  Its hit rate only materializes under
+affinity: spraying identical requests across shards leaves every
+shard's cache cold.
 
 Classic Karger-style ring: each shard owns ``vnodes`` points on a
 64-bit circle (blake2b of ``"{node}#{i}"``), a key routes to the first

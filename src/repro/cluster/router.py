@@ -11,8 +11,7 @@ links:
   (:func:`repro.sweep.cache.point_key` over model+params+options, the
   same key the sweep cache and every shard's result cache use), then
   routed on a consistent-hash ring.  Identical analyses always hit the
-  same shard, so shard-local result caches and per-worker kernel memos
-  stay hot.
+  same shard, so shard-local result caches stay hot.
 * **Tenant admission** — the router runs the cluster's NC front door:
   each tenant's declared leaky bucket is enforced here (429 with a
   live per-tenant residual-service delay bound), and ``/capacity``

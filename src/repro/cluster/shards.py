@@ -1,7 +1,7 @@
 """Shard processes: one :class:`AnalysisServer` per OS process.
 
 A shard is the full single-node serving stack — asyncio loop, worker
-pool, kernel memo, result cache, admission — run under the *spawn*
+pool, result cache, admission — run under the *spawn*
 start method (fork is unsafe once any thread exists, and the pytest
 harness is threaded).  :class:`ShardProcess` is the supervisor-side
 handle: it launches the process, waits for the shard to report its

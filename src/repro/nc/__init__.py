@@ -16,16 +16,7 @@ Quick start::
 """
 
 from .curve import Curve, UnboundedCurveError
-from .kernel import (
-    digest_of,
-    eval_batch,
-    interned,
-    kernel_disabled,
-    kernel_enabled,
-    memo_stats,
-    reset_kernel,
-    set_kernel_enabled,
-)
+from .kernel import eval_batch
 from .pieces import Point, Segment, envelope
 from .tolerance import EPS, EPS_STRICT, close
 from .builders import (
@@ -90,14 +81,7 @@ __all__ = [
     "EPS",
     "EPS_STRICT",
     "close",
-    "digest_of",
     "eval_batch",
-    "interned",
-    "kernel_disabled",
-    "kernel_enabled",
-    "memo_stats",
-    "reset_kernel",
-    "set_kernel_enabled",
     "affine",
     "constant_rate",
     "leaky_bucket",

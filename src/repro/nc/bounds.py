@@ -70,16 +70,17 @@ def pseudo_inverse(f: Curve, y: float) -> float:
 def vertical_deviation(f: Curve, g: Curve, t_max: float = math.inf) -> float:
     """``sup_{0 <= t <= t_max} [f(t) - g(t)]`` — exact, possibly ``inf``.
 
-    Kernel-dispatched: the leaky-bucket/rate-latency pair short-circuits
-    to the paper's ``b + R_alpha * T``, other shapes are memoized.
+    Kernel-dispatched: against a rate-latency ``g`` it is one pass over
+    ``f``'s breakpoints, and for a leaky-bucket ``f`` the paper's
+    ``b + R_alpha * T``.
     """
     def generic(a: Curve, b: Curve) -> float:
         return (a - b).sup(t_max)
 
     if math.isinf(t_max):
         return binary_op("vertical_deviation", f, g, generic)
-    # a finite horizon changes the result: separate op, no fast path
-    return binary_op("vertical_deviation_t", f, g, generic, key_extra=(t_max,))
+    # a finite horizon changes the result: no fast path
+    return generic(f, g)
 
 
 def horizontal_deviation(f: Curve, g: Curve) -> float:
@@ -88,9 +89,9 @@ def horizontal_deviation(f: Curve, g: Curve) -> float:
     Computed exactly in level space: ``h = sup_y [g^-1(y) - f^-1(y)]``
     over the finitely many levels at which either pseudo-inverse kinks.
     Returns ``math.inf`` when ``g`` can never catch up (e.g. the flow's
-    long-run rate exceeds the service rate).  Kernel-dispatched: the
-    leaky-bucket/rate-latency pair short-circuits to the paper's
-    ``T + b / R_beta``, other shapes are memoized.
+    long-run rate exceeds the service rate).  Always the generic level
+    sweep: a closed form such as the paper's ``T + b / R_beta`` rounds
+    differently from it (see :mod:`repro.nc.kernel`).
     """
     return binary_op("horizontal_deviation", f, g, _hdev_generic)
 

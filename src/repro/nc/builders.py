@@ -21,7 +21,6 @@ import math
 
 from .._validation import check_non_negative, check_positive
 from .curve import Curve
-from .kernel import interned
 
 __all__ = [
     "leaky_bucket",
@@ -45,7 +44,7 @@ def leaky_bucket(rate: float, burst: float) -> Curve:
     """
     check_non_negative("rate", rate)
     check_non_negative("burst", burst)
-    return interned(Curve([0.0], [0.0], [burst], [rate]))
+    return Curve([0.0], [0.0], [burst], [rate])
 
 
 def rate_latency(rate: float, latency: float) -> Curve:
@@ -58,13 +57,13 @@ def rate_latency(rate: float, latency: float) -> Curve:
     check_non_negative("latency", latency)
     if latency == 0.0:
         return constant_rate(rate)
-    return interned(Curve([0.0, latency], [0.0, 0.0], [0.0, 0.0], [0.0, rate]))
+    return Curve([0.0, latency], [0.0, 0.0], [0.0, 0.0], [0.0, rate])
 
 
 def constant_rate(rate: float) -> Curve:
     """Constant-rate service curve ``beta(t) = rate * t`` (zero latency)."""
     check_non_negative("rate", rate)
-    return interned(Curve([0.0], [0.0], [0.0], [rate]))
+    return Curve([0.0], [0.0], [0.0], [rate])
 
 
 def pure_delay(latency: float, rate: float = math.inf) -> Curve:
@@ -88,7 +87,7 @@ def pure_delay(latency: float, rate: float = math.inf) -> Curve:
 def affine(rate: float, offset: float) -> Curve:
     """Continuous affine curve ``f(t) = offset + rate*t`` (no jump at 0)."""
     check_non_negative("rate", rate)
-    return interned(Curve.affine(rate, offset))
+    return Curve.affine(rate, offset)
 
 
 def staircase(step: float, interval: float, *, offset: float = 0.0, n_steps: int = 64) -> Curve:
@@ -124,7 +123,7 @@ def staircase(step: float, interval: float, *, offset: float = 0.0, n_steps: int
     by.append(v)
     sy.append(v)
     sl.append(step / interval)
-    return interned(Curve(bx, by, sy, sl))
+    return Curve(bx, by, sy, sl)
 
 
 def token_bucket_stair(rate: float, burst: float, packet: float, *, n_steps: int = 64) -> Curve:

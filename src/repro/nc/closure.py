@@ -48,15 +48,9 @@ def subadditive_closure(f: Curve, max_iterations: int = 32) -> Curve:
     ``RuntimeError`` — in practice network-calculus models use closures
     of concave or rate-latency-like curves, which converge immediately.
     Kernel-dispatched: concave curves through the origin short-circuit
-    to themselves (they are already subadditive), and results are
-    memoized by content digest.
+    to themselves (they are already subadditive).
     """
-    return unary_op(
-        "subadditive_closure",
-        f,
-        lambda c: _closure_generic(c, max_iterations),
-        key_extra=(max_iterations,),
-    )
+    return unary_op("subadditive_closure", f, _closure_generic, max_iterations)
 
 
 def _closure_generic(f: Curve, max_iterations: int) -> Curve:

@@ -17,13 +17,12 @@ breakdown described in the paper's §4.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
 import math
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 from .curve import Curve
-from .kernel import interned
 from .minplus import convolve_many
 from .bounds import backlog_bound, delay_bound, output_arrival_curve
 
@@ -50,18 +49,6 @@ class Tandem:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("a tandem needs at least one node")
-        # intern every curve up front: tandem analysis re-derives the
-        # same sub-chain algebra repeatedly (arrival_at per node), and
-        # interned operands make each derivation a kernel memo hit
-        self.alpha = interned(self.alpha)
-        self.nodes = [
-            TandemNode(
-                interned(n.beta),
-                None if n.gamma is None else interned(n.gamma),
-                n.name,
-            )
-            for n in self.nodes
-        ]
 
     # ------------------------------------------------------------------ #
 
@@ -79,16 +66,24 @@ class Tandem:
             return None
         return convolve_many([n.gamma for n in sel])  # type: ignore[misc]
 
-    def arrival_at(self, index: int) -> Curve:
-        """Arrival curve of the flow entering node ``index``.
+    def arrivals(self) -> Iterator[Curve]:
+        """Arrival curves of the flow entering nodes 0, 1, ..., and leaving
+        the last one, in one forward fold.
 
         Propagates ``alpha`` through the output-envelope operator node by
         node (using each node's maximum service curve when available).
+        Lazy: a caller that stops early never pays for, or trips over,
+        the nodes it did not reach.
         """
         a = self.alpha
-        for node in self.nodes[:index]:
+        yield a
+        for node in self.nodes:
             a = output_arrival_curve(a, node.beta, node.gamma)
-        return a
+            yield a
+
+    def arrival_at(self, index: int) -> Curve:
+        """Arrival curve of the flow entering node ``index``."""
+        return next(islice(self.arrivals(), len(self.nodes[:index]), None))
 
     # ------------------------------------------------------------------ #
 
@@ -103,8 +98,8 @@ class Tandem:
     def sum_of_per_node_delay_bounds(self) -> float:
         """Naive per-node delay sum (for quantifying pay-bursts-only-once)."""
         total = 0.0
-        for i, node in enumerate(self.nodes):
-            d = delay_bound(self.arrival_at(i), node.beta)
+        for node, a in zip(self.nodes, self.arrivals()):
+            d = delay_bound(a, node.beta)
             if math.isinf(d):
                 return math.inf
             total += d
@@ -117,10 +112,7 @@ class Tandem:
         the data occupancy bounds that are due to each node ... can be
         determined analytically".
         """
-        return [
-            backlog_bound(self.arrival_at(i), node.beta)
-            for i, node in enumerate(self.nodes)
-        ]
+        return [backlog_bound(a, node.beta) for node, a in zip(self.nodes, self.arrivals())]
 
     def subset_delay_bound(self, start: int, stop: int) -> float:
         """Delay bound across the contiguous node subset ``[start, stop)``."""

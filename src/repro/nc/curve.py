@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .pieces import Point, Segment, envelope
+from .pieces import Point, Segment, envelope, merge_collinear
 from .tolerance import EPS, EPS_STRICT, close as _close, rel_scale
 
 __all__ = ["Curve", "UnboundedCurveError"]
@@ -41,6 +41,17 @@ class UnboundedCurveError(ValueError):
     """
 
 
+_FIELDS = ("bx", "by", "sy", "sl")
+
+
+def _freeze(c: "Curve", arrays: "Sequence[Sequence[float]] | np.ndarray") -> None:
+    """Store equal-length ``(bx, by, sy, sl)`` as read-only rows of one block."""
+    block = np.asarray(arrays, dtype=float)
+    block.setflags(write=False)
+    for name, row in zip(_FIELDS, block):
+        object.__setattr__(c, name, row)
+
+
 class Curve:
     """A piecewise-linear, possibly discontinuous function on ``[0, inf)``.
 
@@ -49,7 +60,7 @@ class Curve:
     :mod:`repro.nc.builders` (leaky bucket, rate-latency, ...).
     """
 
-    __slots__ = ("bx", "by", "sy", "sl", "_digest")
+    __slots__ = _FIELDS
 
     def __init__(
         self,
@@ -68,22 +79,32 @@ class Curve:
             raise ValueError("curve arrays must share a positive length")
         if bx_a[0] != 0.0:
             raise ValueError(f"curves are defined from t=0, got bx[0]={bx_a[0]}")
-        if len(bx_a) > 1 and not np.all(np.diff(bx_a) > 0):
+        if len(bx_a) > 1 and not (bx_a[1:] > bx_a[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        for name, arr in (("bx", bx_a), ("by", by_a), ("sy", sy_a), ("sl", sl_a)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite, got {arr}")
-        bx_a.setflags(write=False)
-        by_a.setflags(write=False)
-        sy_a.setflags(write=False)
-        sl_a.setflags(write=False)
-        object.__setattr__(self, "bx", bx_a)
-        object.__setattr__(self, "by", by_a)
-        object.__setattr__(self, "sy", sy_a)
-        object.__setattr__(self, "sl", sl_a)
-        # canonical-form content digest, stamped lazily by the kernel's
-        # interning layer (repro.nc.kernel); None until then
-        object.__setattr__(self, "_digest", None)
+        block = np.array((bx_a, by_a, sy_a, sl_a))
+        if not np.isfinite(block).all():
+            for name, arr in zip(_FIELDS, block):
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{name} must be finite, got {arr}")
+        _freeze(self, block)
+
+    @classmethod
+    def _trusted(
+        cls,
+        bx: Sequence[float],
+        by: Sequence[float],
+        sy: Sequence[float],
+        sl: Sequence[float],
+    ) -> "Curve":
+        """A curve from arrays the algebra itself computed.
+
+        Operator results are valid by construction, so this skips the
+        public constructor's checks; user input always goes through
+        those.
+        """
+        c = object.__new__(cls)
+        _freeze(c, (bx, by, sy, sl))
+        return c
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Curve instances are immutable")
@@ -212,15 +233,16 @@ class Curve:
 
     def is_nondecreasing(self) -> bool:
         """True when the curve is wide-sense increasing (the NC class ``F``)."""
-        if np.any(self.sl < 0):
-            return False
-        for i in range(len(self.bx)):
+        bx, by, sy, sl = self.bx.tolist(), self.by.tolist(), self.sy.tolist(), self.sl.tolist()
+        for i in range(len(bx)):
+            if sl[i] < 0:
+                return False
             # point must not exceed the outgoing right-limit
-            if self.by[i] > self.sy[i] + EPS_STRICT * rel_scale(self.sy[i]):
+            if by[i] > sy[i] + EPS_STRICT * rel_scale(sy[i]):
                 return False
             if i > 0:
-                left = self.sy[i - 1] + self.sl[i - 1] * (self.bx[i] - self.bx[i - 1])
-                if left > self.by[i] + EPS_STRICT * rel_scale(self.by[i]):
+                left = sy[i - 1] + sl[i - 1] * (bx[i] - bx[i - 1])
+                if left > by[i] + EPS_STRICT * rel_scale(by[i]):
                     return False
         return True
 
@@ -272,7 +294,7 @@ class Curve:
         grid = self._merge_grid(other)
         by1, sy1, sl1 = self._resampled_arrays(grid)
         by2, sy2, sl2 = other._resampled_arrays(grid)
-        return Curve(grid, fn(by1, by2), fn(sy1, sy2), fn(sl1, sl2)).canonical()
+        return Curve._trusted(grid, fn(by1, by2), fn(sy1, sy2), fn(sl1, sl2)).canonical()
 
     def __add__(self, other: "Curve | float") -> "Curve":
         if isinstance(other, Curve):
@@ -287,7 +309,7 @@ class Curve:
         return self.vshift(-float(other))
 
     def __neg__(self) -> "Curve":
-        return Curve(self.bx, -self.by, -self.sy, -self.sl)
+        return Curve._trusted(self.bx, -self.by, -self.sy, -self.sl)
 
     def __mul__(self, k: float) -> "Curve":
         """Vertical scaling ``(k*f)(t) = k*f(t)``."""
@@ -300,7 +322,9 @@ class Curve:
 
     def vshift(self, dy: float) -> "Curve":
         """Vertical shift ``f(t) + dy``."""
-        return Curve(self.bx, self.by + dy, self.sy + dy, self.sl)
+        if not math.isfinite(dy):
+            raise ValueError(f"vshift needs a finite offset, got {dy}")
+        return Curve._trusted(self.bx, self.by + dy, self.sy + dy, self.sl)
 
     def hshift(self, delay: float, fill: float = 0.0) -> "Curve":
         """Right shift: ``g(t) = f(t - delay)`` for ``t >= delay``, else ``fill``.
@@ -381,14 +405,12 @@ class Curve:
 
     def canonical(self) -> "Curve":
         """Return an equivalent curve with merged collinear pieces."""
-        if self._digest is not None:
-            # digest-stamped curves are canonical by construction
+        merged = merge_collinear(
+            self.bx.tolist(), self.by.tolist(), self.sy.tolist(), self.sl.tolist()
+        )
+        if len(merged[0]) == len(self.bx):
             return self
-        pts, segs = self.pieces()
-        from .pieces import _canonicalize
-
-        cp, cs = _canonicalize(pts, segs)
-        return Curve.from_pieces(cp, cs)
+        return Curve._trusted(*merged)
 
     def almost_equal(self, other: "Curve", tol: float = EPS) -> bool:
         """Pointwise equality within ``tol`` (checked exactly via pieces)."""
@@ -408,30 +430,18 @@ class Curve:
             return NotImplemented
         if self is other:
             return True
-        if self._digest is not None and other._digest is not None:
-            # digests hash the canonical arrays: equality in O(1)
-            return self._digest == other._digest
         a, b = self.canonical(), other.canonical()
-        return (
-            np.array_equal(a.bx, b.bx)
-            and np.array_equal(a.by, b.by)
-            and np.array_equal(a.sy, b.sy)
-            and np.array_equal(a.sl, b.sl)
-        )
+        return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in _FIELDS)
 
     def __hash__(self) -> int:
         c = self.canonical()
-        return hash((c.bx.tobytes(), c.by.tobytes(), c.sy.tobytes(), c.sl.tobytes()))
+        # ``==`` compares values, so -0.0 must hash like 0.0: adding 0.0
+        # maps -0.0 to +0.0 under IEEE rounding
+        return hash(tuple((getattr(c, n) + 0.0).tobytes() for n in _FIELDS))
 
     def sample(self, ts: Sequence[float]) -> np.ndarray:
         """Evaluate on a sequence of abscissae (alias of ``__call__``)."""
         return np.asarray(self(np.asarray(ts, dtype=float)))
-
-    def digest(self) -> str:
-        """Stable canonical-content digest (interns the curve)."""
-        from .kernel import digest_of
-
-        return digest_of(self)
 
     def __repr__(self) -> str:
         n = len(self.bx)
@@ -446,17 +456,25 @@ class Curve:
         )
 
 
+def _from_tiling(points: Sequence[Point], segments: Sequence[Segment]) -> Curve:
+    """The curve of an envelope's output tiling, without re-checking it."""
+    return Curve._trusted(
+        [p.x for p in points],
+        [p.y for p in points],
+        [s.y0 for s in segments],
+        [s.slope for s in segments],
+    )
+
+
 def _minimum_generic(f: Curve, g: Curve) -> Curve:
     """Envelope-based pointwise minimum (the kernel's generic fallback)."""
     p1, s1 = f.pieces()
     p2, s2 = g.pieces()
-    pts, segs = envelope(p1 + p2, s1 + s2, lower=True)
-    return Curve.from_pieces(pts, segs)
+    return _from_tiling(*envelope(p1 + p2, s1 + s2, lower=True))
 
 
 def _maximum_generic(f: Curve, g: Curve) -> Curve:
     """Envelope-based pointwise maximum (the kernel's generic fallback)."""
     p1, s1 = f.pieces()
     p2, s2 = g.pieces()
-    pts, segs = envelope(p1 + p2, s1 + s2, lower=False)
-    return Curve.from_pieces(pts, segs)
+    return _from_tiling(*envelope(p1 + p2, s1 + s2, lower=False))

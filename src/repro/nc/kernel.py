@@ -1,189 +1,50 @@
 """The curve-algebra kernel: one dispatch layer for every curve operation.
 
-Motivated by Nancy (Zippo & Stea) and the UPP toolbox: an exact NC
-library gets its order-of-magnitude wins not from faster envelopes but
-from *not computing them* — canonical representations make curve
-identity cheap, identity makes memoization sound, and shape recognition
-replaces the generic ``O(n·m)`` piece-envelope algorithm with closed
-forms for the curves the paper actually uses (rate-latency, leaky
-bucket, constant rate).
+Motivated by Nancy (Zippo & Stea): an exact NC library gets its speed
+not from a faster generic envelope but from specializing on the curve
+class.  The paper models every stage as a rate-latency curve
+``beta_{R,T}``, every maximum service as a constant-rate curve
+``lambda_R`` (``T = 0``) and packetization as ``[beta - l]^+``, so
+nearly every operation has one of those as its second operand, and
+against them convolution, deconvolution and the vertical deviation are
+single passes over the other curve's pieces instead of the generic
+``O(n·m)`` piece envelope.
 
-Every public operator in :mod:`repro.nc` now funnels through two entry
+Every public operator in :mod:`repro.nc` funnels through two entry
 points here:
 
 * :func:`binary_op` — ``(op, f, g) -> result`` for convolution,
   deconvolution, min/max, and the deviation bounds;
-* :func:`unary_op` — ``(op, f) -> result`` for pseudo-inverses,
-  sub-additive closure, and packetization.
+* :func:`unary_op` — ``(op, f, *params) -> result`` for
+  pseudo-inverses, sub-additive closure, and packetization.
 
-Dispatch per call:
-
-1. **Canonicalize + intern** each operand (:func:`interned`): merged
-   collinear pieces under the shared tolerance policy
-   (:mod:`repro.nc.tolerance`), a 128-bit BLAKE2 content digest over the
-   canonical arrays, and a bounded digest→curve table so identical
-   curves are one object.  The digest is stamped on the curve
-   (``Curve._digest``), making ``==``/``hash`` O(1) afterwards.
-2. **Memo lookup** of ``(op, digest_f, digest_g, *extras)`` in a bounded
-   LRU shared by the whole process — one per sweep worker across points,
-   one per serve worker across requests.
-3. **Fast path**: if the operands match a known shape (see
-   ``_FAST_BINARY``/``_FAST_UNARY``), return the closed form.  Fast
-   paths are exact closed forms: on inputs whose breakpoint arithmetic
-   is exactly representable (dyadic rationals — the property-test grid)
-   they reproduce the generic algorithm byte-for-byte, and they decline
-   (return ``None``) for any shape where that cannot hold.  On general
-   floats the *generic* envelope can carry ulp-wide sliver pieces from
-   line-intercept rounding; the closed form returns the mathematically
-   canonical result instead.
-4. **Generic fallback**: the envelope-based algorithm supplied by the
-   calling module.
-
-Fast-path dispatch is part of the algebra and always active, which is
-what makes analysis outputs byte-identical with the kernel on or off.
-``REPRO_NC_KERNEL=0`` (or :func:`set_kernel_enabled`) disables only the
-*stateful* layers — canonicalizing interning and the memo — as the
-benchmark baseline.  Hit/miss/eviction counters surface through
-:func:`memo_stats`, :func:`publish_metrics` (``telemetry.metrics``),
-``repro cache --stats``, and the serve ``/capacity`` endpoint.
+Each call first tries the operation's fast path (see
+``_FAST_BINARY``/``_FAST_UNARY``), which returns the exact closed form
+or one-pass result for the shapes it recognizes and ``None`` to
+decline; otherwise it runs the envelope-based generic supplied by the
+calling module.  Fast paths reproduce the generic bit for bit wherever
+the generic's own arithmetic is exact (dyadic rationals — the
+property-test grid); on general floats both are exact up to rounding.
+The kernel keeps no state: no interning, no memo, no counters.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import threading
-from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+import math
+from bisect import bisect_right
+from typing import Any, Callable
 
 import numpy as np
 
 from .curve import Curve
-from .tolerance import EPS
+from .pieces import merge_collinear
+from .tolerance import close
 
-__all__ = [
-    "binary_op",
-    "unary_op",
-    "interned",
-    "digest_of",
-    "eval_batch",
-    "kernel_enabled",
-    "set_kernel_enabled",
-    "kernel_disabled",
-    "memo_stats",
-    "reset_kernel",
-    "publish_metrics",
-    "worker_init",
-]
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_NC_KERNEL", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-_ENABLED: bool = _env_enabled()
-
-#: memoized op results — bounded LRU, one per process
-_MEMO_MAX = 4096
-#: interned canonical curves — digest -> Curve, bounded LRU
-_INTERN_MAX = 8192
-
-_LOCK = threading.Lock()
-_MEMO: "OrderedDict[tuple, Any]" = OrderedDict()
-_INTERN: "OrderedDict[str, Curve]" = OrderedDict()
-
-_COUNTERS = {
-    "hits": 0,
-    "misses": 0,
-    "evictions": 0,
-    "fast_path": 0,
-    "interned": 0,
-    "intern_evictions": 0,
-    "eval_batch_calls": 0,
-    "eval_batch_points": 0,
-}
+__all__ = ["binary_op", "unary_op", "eval_batch"]
 
 
 # --------------------------------------------------------------------- #
-# canonicalization, digest, interning
-# --------------------------------------------------------------------- #
-
-
-def _digest_arrays(c: Curve) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for arr in (c.bx, c.by, c.sy, c.sl):
-        h.update(arr.tobytes())
-    return h.hexdigest()
-
-
-def _arrays_equal(a: Curve, b: Curve) -> bool:
-    return (
-        len(a.bx) == len(b.bx)
-        and np.array_equal(a.bx, b.bx)
-        and np.array_equal(a.by, b.by)
-        and np.array_equal(a.sy, b.sy)
-        and np.array_equal(a.sl, b.sl)
-    )
-
-
-def interned(curve: Curve) -> Curve:
-    """Canonical, digest-stamped, shared representative of ``curve``.
-
-    Identical curves (after merging collinear pieces under the shared
-    tolerance) return the *same object*, so downstream equality is a
-    pointer comparison and memo keys are digest strings computed once.
-    When the kernel is disabled this is the identity function.
-    """
-    if not _ENABLED:
-        return curve
-    d = getattr(curve, "_digest", None)
-    with _LOCK:
-        if d is not None:
-            hit = _INTERN.get(d)
-            if hit is not None:
-                _INTERN.move_to_end(d)
-                return hit
-            _intern_store(d, curve)
-            return curve
-    # digest unknown: canonicalize outside the lock (may allocate)
-    canon = curve.canonical()
-    keep = curve if _arrays_equal(curve, canon) else canon
-    d = _digest_arrays(keep)
-    with _LOCK:
-        hit = _INTERN.get(d)
-        if hit is not None:
-            _INTERN.move_to_end(d)
-            return hit
-        if getattr(keep, "_digest", None) is None:
-            object.__setattr__(keep, "_digest", d)
-        _intern_store(d, keep)
-        return keep
-
-
-def _intern_store(d: str, c: Curve) -> None:
-    _INTERN[d] = c
-    _COUNTERS["interned"] += 1
-    while len(_INTERN) > _INTERN_MAX:
-        _INTERN.popitem(last=False)
-        _COUNTERS["intern_evictions"] += 1
-
-
-def digest_of(curve: Curve) -> str:
-    """Stable content digest of a curve (canonical-form BLAKE2-128)."""
-    d = getattr(curve, "_digest", None)
-    if d is not None:
-        return d
-    return digest_of(interned(curve)) if _ENABLED else _digest_arrays(curve.canonical())
-
-
-# --------------------------------------------------------------------- #
-# shape recognizers (all on canonical curves; exact comparisons only)
+# shape recognizers (exact comparisons only)
 # --------------------------------------------------------------------- #
 
 
@@ -191,8 +52,9 @@ def _rl_params(c: Curve) -> tuple[float, float] | None:
     """``(rate, latency)`` when ``c`` is a canonical rate-latency curve.
 
     Covers the degenerate corners: constant-rate (latency 0) and the
-    zero curve (rate 0).  Exact float comparisons are safe because the
-    arrays are canonical.
+    zero curve (rate 0).  Comparisons are exact: a curve that is only
+    nearly rate-latency, or not in canonical form, takes the generic
+    path.
     """
     n = len(c.bx)
     if n == 1:
@@ -214,8 +76,8 @@ def _rl_params(c: Curve) -> tuple[float, float] | None:
 
 def _make_rate_latency(rate: float, latency: float) -> Curve:
     if latency == 0.0:
-        return Curve([0.0], [0.0], [0.0], [rate])
-    return Curve([0.0, latency], [0.0, 0.0], [0.0, 0.0], [0.0, rate])
+        return Curve._trusted([0.0], [0.0], [0.0], [rate])
+    return Curve._trusted([0.0, latency], [0.0, 0.0], [0.0, 0.0], [0.0, rate])
 
 
 def _jump_line_params(c: Curve) -> tuple[float, float] | None:
@@ -242,15 +104,153 @@ def _single_piece_nondecreasing(c: Curve) -> tuple[float, float, float] | None:
 
 
 # --------------------------------------------------------------------- #
+# one-pass forms against a rate-latency curve
+# --------------------------------------------------------------------- #
+#
+# beta_{R,T} = delta_T (*) lambda_R, so against it
+#
+#   (f (*) beta)(t) = R*(t-T) + inf_{s <= t-T} f(s) - R*s   (a forward scan)
+#   (f (/) beta)(t) = R*(t+T) + sup_{s >= t+T} f(s) - R*s   (a backward scan)
+#
+# for t >= T resp. t >= 0; the shift by T is exact only for a
+# nondecreasing f, so with T > 0 both decline on any other curve.  The
+# scans work in the result's abscissae (f's breakpoints moved by +-T),
+# evaluate every value from an exact anchor of f, and compute where an
+# R-line meets a line of f from the two intercepts, as the envelope
+# does.  So where the envelope's arithmetic is exact (the dyadic
+# property-test grid) the results agree with it bit for bit.
+
+
+def _f_lists(f: Curve) -> tuple[list[float], list[float], list[float], list[float]]:
+    return f.bx.tolist(), f.by.tolist(), f.sy.tolist(), f.sl.tolist()
+
+
+def _convolve_rl(f: Curve, rate: float, latency: float) -> Curve | None:
+    """``f (*) beta_{rate,latency}`` in one forward pass over ``f``."""
+    if latency > 0.0 and not f.is_nondecreasing():
+        return None
+    bx, by, sy, sl = _f_lists(f)
+    n = len(bx)
+    xs = [x + latency for x in bx]
+    out: list[tuple[float, float, float, float]] = []  # (x, f(x), f(x+), slope)
+    if latency > 0.0:
+        # before T the infimum of a nondecreasing f over [0, t] is f(0)
+        out.append((0.0, by[0], by[0], 0.0))
+    left = by[0]  # the result's left-limit at the next breakpoint
+    for i in range(n):
+        x, s, k = xs[i], sy[i], sl[i]
+        if out and x <= out[-1][0]:
+            return None  # the shift merged two breakpoints
+        a = min(left, by[i])
+        nxt = xs[i + 1] if i + 1 < n else math.inf
+        on_f = True  # the piece reaching nxt follows f's segment i
+        if k >= rate:
+            # the R-line through the lowest point so far stays below f
+            out.append((x, a, min(a, s), rate))
+            on_f = False
+        elif a < s:
+            # the R-line from a climbs until it meets f's segment
+            c_r = a - rate * x
+            c_f = s - k * x
+            xc = (c_f - c_r) / (rate - k)
+            if xc <= x:
+                out.append((x, a, s, k))
+            else:
+                out.append((x, a, a, rate))
+                if xc < nxt:
+                    yc = k * xc + c_f
+                    out.append((xc, yc, yc, k))
+                else:
+                    on_f = False
+        else:
+            out.append((x, a, s, k))
+        if i + 1 < n:
+            left = s + k * (bx[i + 1] - bx[i]) if on_f else out[-1][2] + rate * (nxt - x)
+    return Curve._trusted(*merge_collinear(*zip(*out)))
+
+
+def _deconvolve_rl(f: Curve, rate: float, latency: float) -> Curve | None:
+    """``f (/) beta_{rate,latency}`` in one backward pass over ``f``.
+
+    The caller has checked that ``f`` grows no faster than ``rate``.
+    """
+    if latency > 0.0 and not f.is_nondecreasing():
+        return None
+    bx, by, sy, sl = _f_lists(f)
+    xs = [x - latency for x in bx]
+    # pieces right to left as (x, value, right-limit, slope), each with
+    # an exact anchor (ax, ay) on its line; on the final ray the result
+    # is f itself, as f grows no faster than the R-line
+    out = [(xs[-1], max(by[-1], sy[-1]), sy[-1], sl[-1])]
+    anchors = [(xs[-1], sy[-1])]
+    for i in range(len(bx) - 2, -1, -1):
+        xn = xs[i + 1]
+        if xn <= 0.0:
+            break  # everything further left is clipped away
+        x, s, k = xs[i], sy[i], sl[i]
+        if x >= xn:
+            return None  # the shift merged two breakpoints
+        b = out[-1][1]  # the result at xn
+        left_f = s + k * (bx[i + 1] - bx[i])
+        if k >= rate:
+            # the sup sits at the far end of the segment
+            slope, anchor = rate, (xn, max(left_f, b))
+        elif b > left_f:
+            # the R-line back from b falls until it meets f's segment
+            c_r = b - rate * xn
+            c_f = s - k * x
+            xc = (c_f - c_r) / (rate - k)
+            if x < xc < xn:
+                yc = rate * xc + c_r
+                out.append((xc, yc, yc, rate))
+                anchors.append((xn, b))
+            slope, anchor = (rate, (xn, b)) if xc <= x else (k, (x, s))
+        else:
+            slope, anchor = k, (x, s)
+        y0 = anchor[1] + slope * (x - anchor[0])
+        out.append((x, max(by[i], y0), y0, slope))
+        anchors.append(anchor)
+    out.reverse(), anchors.reverse()
+    # clip to t >= 0: drop the pieces that end by 0, start the next at 0
+    j = 0
+    while j + 1 < len(out) and out[j + 1][0] <= 0.0:
+        j += 1
+    out = out[j:]
+    if out[0][0] < 0.0:
+        (ax, ay), slope = anchors[j], out[0][3]
+        v0 = ay + slope * (0.0 - ax)
+        out[0] = (0.0, v0, v0, slope)
+    return Curve._trusted(*merge_collinear(*zip(*out)))
+
+
+def _vdev_rl(f: Curve, rate: float, latency: float) -> float:
+    """``sup_t f(t) - beta_{rate,latency}(t)``: ``f - beta`` is affine
+    between f's breakpoints and T, so the sup is one of its values and
+    one-sided limits there, or ``inf`` when f outgrows the rate."""
+    bx, by, sy, sl = _f_lists(f)
+    if sl[-1] > rate:
+        return math.inf
+    best = -math.inf
+    for i, x in enumerate(bx):
+        b = rate * (x - latency) if x > latency else 0.0
+        best = max(best, by[i] - b, sy[i] - b)
+        if i:
+            best = max(best, sy[i - 1] + sl[i - 1] * (x - bx[i - 1]) - b)
+    if latency > 0.0:
+        j = bisect_right(bx, latency) - 1
+        if bx[j] != latency:
+            best = max(best, sy[j] + sl[j] * (latency - bx[j]))
+    return best
+
+
+# --------------------------------------------------------------------- #
 # closed-form fast paths
 # --------------------------------------------------------------------- #
 #
 # Contract: each fast path returns the exact closed form of the
-# operation or None to decline.  Because dispatch runs identically with
-# the kernel enabled or disabled, fast paths never affect on-vs-off
-# byte-identity; bit-for-bit agreement with the generic algorithm is
-# property-tested on the dyadic-float curve families where the generic's
-# own envelope arithmetic is exact.
+# operation or None to decline.  Bit-for-bit agreement with the generic
+# algorithm is property-tested on the dyadic-float curve families where
+# the generic's own envelope arithmetic is exact.
 
 
 def _fast_convolve(f: Curve, g: Curve) -> Curve | None:
@@ -265,49 +265,84 @@ def _fast_convolve(f: Curve, g: Curve) -> Curve | None:
         # pointwise minimum, and for this shape the generic convolution
         # bag reduces to exactly the minimum's line set (the combined
         # piece has the smaller slope with a dominated intercept).
-        from .curve import _minimum_generic
-
-        return _minimum_generic(f, g)
+        return _minimum_of_jump_lines(min(float(f.by[0]), float(g.by[0])), jf, jg)
+    if rg is not None:
+        return _convolve_rl(f, *rg)
     return None
+
+
+def _minimum_of_jump_lines(
+    v0: float, jf: tuple[float, float], jg: tuple[float, float]
+) -> Curve:
+    """``min`` of two jump-lines, as the lower envelope computes it:
+    the steeper line until the two lines cross, the other after."""
+    (b1, r1), (b2, r2) = jf, jg
+    if r1 == r2:
+        return Curve._trusted([0.0], [v0], [r1 * 0.0 + min(b1, b2)], [r1])
+    (m_a, c_a), (m_b, c_b) = ((r1, b1), (r2, b2)) if r1 > r2 else ((r2, b2), (r1, b1))
+    x = (c_b - c_a) / (m_a - m_b)
+    if not x > 0.0:
+        return Curve._trusted([0.0], [v0], [m_b * 0.0 + c_b], [m_b])
+    y = m_b * x + c_b
+    return Curve._trusted(*merge_collinear([0.0, x], [v0, y], [m_a * 0.0 + c_a, y], [m_a, m_b]))
 
 
 def _fast_deconvolve(f: Curve, g: Curve) -> Curve | None:
-    sp = _single_piece_nondecreasing(f)
     rl = _rl_params(g)
-    if sp is None or rl is None:
+    if rl is None:
         return None
-    v0, s0, ra = sp
     rb, t = rl
-    if ra > rb:
+    if f.sl[-1] > rb:
         return None  # generic raises UnboundedCurveError; keep its message
+    sp = _single_piece_nondecreasing(f)
+    if sp is None:
+        return _deconvolve_rl(f, rb, t)
+    v0, s0, ra = sp
     # sup_u f(t+u) - beta(u) peaks at u = T: an affine result (no jump),
     # anchored exactly as the generic straddling piece computes it.
     v = s0 + ra * t
-    return Curve([0.0], [v], [v], [ra])
+    return Curve._trusted([0.0], [v], [v], [ra])
 
 
 def _fast_extremum(f: Curve, g: Curve) -> Curve | None:
-    if getattr(f, "_digest", None) is not None and f._digest == getattr(
-        g, "_digest", None
-    ):
-        return f
-    return None
+    return f if f is g else None
 
 
 def _fast_vdev(f: Curve, g: Curve) -> float | None:
-    jf = _jump_line_params(f)
     rl = _rl_params(g)
-    if jf is None or rl is None:
+    if rl is None:
         return None
-    b, ra = jf
     rb, t = rl
+    jf = _jump_line_params(f)
+    if jf is None:
+        return _vdev_rl(f, rb, t)
+    b, ra = jf
     if ra > rb:
-        return None  # sup is +inf; let the generic path report it
+        return math.inf
     # sup_t [alpha - beta] at t = T: the paper's x <= b + R_alpha * T
     return b + ra * t
 
 
-def _fast_closure(f: Curve) -> Curve | None:
+def _fast_packetize_service(f: Curve, l_max: float) -> Curve | None:
+    """``[beta_{R,T} - l]^+`` exactly as ``f.vshift(-l).max0()`` computes it.
+
+    The generic envelope meets the zero line at ``x = (l + R*T) / R``
+    and evaluates the shifted ray there as ``R*x + (-l - R*T)``, which
+    need not round to 0; the closed form repeats both expressions.
+    """
+    rl = _rl_params(f)
+    if rl is None or close(0.0, rl[0]):
+        return None  # a near-zero slope would merge into the flat piece
+    rate, latency = rl
+    level = l_max + rate * latency
+    x = level / rate
+    if not x > latency:
+        return None  # the knee rounded onto T: the generic shapes it
+    y = rate * x - level
+    return Curve._trusted([0.0, x], [0.0, y], [0.0, y], [0.0, rate])
+
+
+def _fast_closure(f: Curve, max_iterations: int) -> Curve | None:
     if f.by[0] == 0.0 and f.is_nondecreasing() and f.is_concave():
         # concave + f(0) = 0 => subadditive => f (*) f = f: the fixpoint
         # iteration converges to its input immediately.
@@ -325,11 +360,11 @@ _FAST_BINARY: dict[str, Callable[[Curve, Curve], Any]] = {
     # recovers open-interval right-limits by midpoint extrapolation,
     # whose rounding differs from the closed form T + b/R_beta by an ulp
     # even on dyadic inputs, so the exactness contract cannot be met.
-    # Memoization still amortizes the sweep.
 }
 
-_FAST_UNARY: dict[str, Callable[[Curve], Any]] = {
+_FAST_UNARY: dict[str, Callable[..., Any]] = {
     "subadditive_closure": _fast_closure,
+    "packetize_service": _fast_packetize_service,
 }
 
 
@@ -338,92 +373,23 @@ _FAST_UNARY: dict[str, Callable[[Curve], Any]] = {
 # --------------------------------------------------------------------- #
 
 
-def _memo_get(key: tuple) -> tuple[bool, Any]:
-    with _LOCK:
-        if key in _MEMO:
-            _MEMO.move_to_end(key)
-            _COUNTERS["hits"] += 1
-            return True, _MEMO[key]
-        _COUNTERS["misses"] += 1
-        return False, None
-
-
-def _memo_put(key: tuple, value: Any) -> None:
-    with _LOCK:
-        _MEMO[key] = value
-        while len(_MEMO) > _MEMO_MAX:
-            _MEMO.popitem(last=False)
-            _COUNTERS["evictions"] += 1
-
-
 def binary_op(
     op: str,
     f: Curve,
     g: Curve,
     generic: Callable[[Curve, Curve], Any],
-    *,
-    key_extra: tuple = (),
 ) -> Any:
-    """Dispatch a two-operand curve operation through the kernel.
-
-    ``generic`` is the exact envelope-based fallback; ``key_extra``
-    carries any scalar parameters that shape the result (they become
-    part of the memo key).  Results that are curves are interned before
-    caching, so every caller shares one object.
-    """
-    if not _ENABLED:
-        fast = _FAST_BINARY.get(op)
-        result = fast(f, g) if fast is not None else None
-        return generic(f, g) if result is None else result
-    cf, cg = interned(f), interned(g)
-    key = (op, cf._digest, cg._digest, *key_extra)
-    hit, value = _memo_get(key)
-    if hit:
-        return value
+    """Dispatch a two-operand curve operation: fast path, else ``generic``."""
     fast = _FAST_BINARY.get(op)
-    result = fast(cf, cg) if fast is not None else None
-    if result is None:
-        result = generic(cf, cg)
-    else:
-        _COUNTERS["fast_path"] += 1
-    if isinstance(result, Curve):
-        result = interned(result)
-    _memo_put(key, result)
-    return result
+    result = fast(f, g) if fast is not None else None
+    return generic(f, g) if result is None else result
 
 
-def unary_op(
-    op: str,
-    f: Curve,
-    generic: Callable[[Curve], Any],
-    *,
-    key_extra: tuple = (),
-) -> Any:
-    """Dispatch a one-operand curve operation through the kernel."""
-    if not _ENABLED:
-        fast = _FAST_UNARY.get(op)
-        result = fast(f) if fast is not None else None
-        return generic(f) if result is None else result
-    cf = interned(f)
-    key = (op, cf._digest, *key_extra)
-    hit, value = _memo_get(key)
-    if hit:
-        return value
+def unary_op(op: str, f: Curve, generic: Callable[..., Any], *params: Any) -> Any:
+    """Dispatch a one-operand curve operation with scalar ``params``."""
     fast = _FAST_UNARY.get(op)
-    result = fast(cf) if fast is not None else None
-    if result is None:
-        result = generic(cf)
-    else:
-        _COUNTERS["fast_path"] += 1
-    if isinstance(result, Curve):
-        result = interned(result)
-    _memo_put(key, result)
-    return result
-
-
-# --------------------------------------------------------------------- #
-# switches, stats, telemetry
-# --------------------------------------------------------------------- #
+    result = fast(f, *params) if fast is not None else None
+    return generic(f, *params) if result is None else result
 
 
 def eval_batch(curve: Curve, xs: Any) -> np.ndarray:
@@ -433,105 +399,7 @@ def eval_batch(curve: Curve, xs: Any) -> np.ndarray:
     sweep runner's grid evaluation, the scenario judge's checks, the
     telemetry conformance replay, and the serve tier's capacity
     sampling.  Always returns a 1-D float array (scalar input becomes a
-    length-1 array).  Counted in :func:`memo_stats` as
-    ``eval_batch_calls`` / ``eval_batch_points``.
+    length-1 array).
     """
     arr = np.atleast_1d(np.asarray(xs, dtype=float)).ravel()
-    with _LOCK:
-        _COUNTERS["eval_batch_calls"] += 1
-        _COUNTERS["eval_batch_points"] += arr.size
     return np.asarray(curve(arr), dtype=float)
-
-
-def kernel_enabled() -> bool:
-    """Whether operands are interned and op results memoized."""
-    return _ENABLED
-
-
-def set_kernel_enabled(flag: bool) -> None:
-    """Flip the kernel on or off for this process (bench/test hook)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-@contextmanager
-def kernel_disabled() -> Iterator[None]:
-    """Temporarily run without interning or memoization (bench baseline).
-
-    The algebra itself (fast paths + generic fallback) is unchanged, so
-    results are byte-identical — only the caching layers are bypassed.
-    """
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = prev
-
-
-def reset_kernel(*, clear_counters: bool = True) -> None:
-    """Drop the memo and intern tables (cold-start, for bench/tests)."""
-    with _LOCK:
-        _MEMO.clear()
-        _INTERN.clear()
-        if clear_counters:
-            for k in _COUNTERS:
-                _COUNTERS[k] = 0
-
-
-def memo_stats() -> dict[str, Any]:
-    """Size, hit rate, and eviction counters of the process-wide memo."""
-    with _LOCK:
-        hits = _COUNTERS["hits"]
-        misses = _COUNTERS["misses"]
-        total = hits + misses
-        return {
-            "enabled": _ENABLED,
-            "eval_batch_calls": _COUNTERS["eval_batch_calls"],
-            "eval_batch_points": _COUNTERS["eval_batch_points"],
-            "size": len(_MEMO),
-            "max_size": _MEMO_MAX,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total) if total else None,
-            "evictions": _COUNTERS["evictions"],
-            "fast_path_hits": _COUNTERS["fast_path"],
-            "interned_curves": len(_INTERN),
-            "intern_evictions": _COUNTERS["intern_evictions"],
-            "tolerance_eps": EPS,
-        }
-
-
-def publish_metrics(registry: Any) -> None:
-    """Mirror the kernel counters into a ``telemetry.metrics`` registry.
-
-    Counters are monotonic, so re-publishing advances them by the delta
-    since the last publish; gauges track the current table sizes.
-    """
-    stats = memo_stats()
-    for name in (
-        "hits",
-        "misses",
-        "evictions",
-        "fast_path_hits",
-        "eval_batch_calls",
-        "eval_batch_points",
-    ):
-        counter = registry.counter(f"nc_kernel.memo_{name}")
-        delta = stats[name] - counter.value
-        if delta > 0:
-            counter.inc(delta)
-    registry.gauge("nc_kernel.memo_size").set(float(stats["size"]))
-    registry.gauge("nc_kernel.interned_curves").set(float(stats["interned_curves"]))
-
-
-def worker_init() -> None:
-    """Process-pool initializer: start each worker with a clean kernel.
-
-    The memo and intern tables are module-global, so after this runs
-    once per worker process every point (sweep) or request (serve)
-    evaluated by that worker shares the same tables — the cross-request
-    reuse the kernel exists for.
-    """
-    reset_kernel()

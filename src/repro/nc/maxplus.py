@@ -28,8 +28,8 @@ __all__ = ["max_convolve", "max_deconvolve"]
 def max_convolve(f: Curve, g: Curve) -> Curve:
     """Max-plus convolution ``sup_{0<=s<=t} f(s) + g(t-s)``.
 
-    Kernel-dispatched: memoized at this level, and the reflected
-    min-plus convolution underneath goes through the kernel again.
+    Kernel-dispatched; the reflected min-plus convolution underneath
+    goes through the kernel again.
     """
     return binary_op("max_convolve", f, g, _max_convolve_generic)
 

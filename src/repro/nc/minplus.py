@@ -15,8 +15,8 @@ resulting bag — the algorithm used by exact NC tool-boxes (Bouillard &
 Thierry 2008).
 
 The generics defined here are the one generic path behind
-:mod:`repro.nc.kernel`: every memo miss that no closed-form fast path
-covers lands in them.  The property-based test-suite checks them
+:mod:`repro.nc.kernel`: every call that no fast path covers lands in
+them.  The property-based test-suite checks them
 against an exact rational (:class:`fractions.Fraction`) evaluation of
 the defining inf/sup.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .curve import Curve, UnboundedCurveError
+from .curve import Curve, UnboundedCurveError, _from_tiling
 from .kernel import binary_op
 from .pieces import Point, Segment, envelope
 
@@ -78,8 +78,8 @@ def convolve(f: Curve, g: Curve) -> Curve:
     For wide-sense increasing curves this is the service curve of two
     systems in tandem, and ``f (*) g <= min(f, g)`` whenever both vanish
     at the origin.  Dispatched through :mod:`repro.nc.kernel`: known
-    shapes (rate-latency pairs, leaky buckets) take closed-form fast
-    paths and results are memoized by content digest.
+    shapes (rate-latency pairs, leaky buckets) take closed forms, and a
+    rate-latency ``g`` takes one forward pass over ``f``.
     """
     return binary_op("convolve", f, g, _convolve_generic)
 
@@ -102,8 +102,7 @@ def _convolve_generic(f: Curve, g: Curve) -> Curve:
             p, s = _conv_seg_seg(s1, s2)
             pts.extend(p)
             segs.extend(s)
-    e_pts, e_segs = envelope(pts, segs, lower=True)
-    return Curve.from_pieces(e_pts, e_segs)
+    return _from_tiling(*envelope(pts, segs, lower=True))
 
 
 def convolve_many(curves: Sequence[Curve]) -> Curve:
@@ -286,5 +285,4 @@ def _deconvolve_generic(f: Curve, g: Curve) -> Curve:
     pg, sg = g.pieces()
     pts, raw = _deconv_pairs(pf, sf, pg, sg)
     c_pts, c_segs = _clip_to_nonnegative(pts, raw)
-    e_pts, e_segs = envelope(c_pts, c_segs, lower=False)
-    return Curve.from_pieces(e_pts, e_segs)
+    return _from_tiling(*envelope(c_pts, c_segs, lower=False))

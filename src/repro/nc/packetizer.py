@@ -31,12 +31,7 @@ def packetize_arrival(alpha: Curve, l_max: float) -> Curve:
     check_non_negative("l_max", l_max)
     if l_max == 0:
         return alpha
-    return unary_op(
-        "packetize_arrival",
-        alpha,
-        lambda a: _packetize_arrival_generic(a, l_max),
-        key_extra=(l_max,),
-    )
+    return unary_op("packetize_arrival", alpha, _packetize_arrival_generic, l_max)
 
 
 def _packetize_arrival_generic(alpha: Curve, l_max: float) -> Curve:
@@ -44,7 +39,7 @@ def _packetize_arrival_generic(alpha: Curve, l_max: float) -> Curve:
     # restore the exact value at t = 0 (the vertical shift must not move it)
     by = shifted.by.copy()
     by[0] = alpha.by[0]
-    return Curve(shifted.bx, by, shifted.sy, shifted.sl)
+    return Curve._trusted(shifted.bx, by, shifted.sy, shifted.sl)
 
 
 def packetize_service(beta: Curve, l_max: float) -> Curve:
@@ -52,12 +47,11 @@ def packetize_service(beta: Curve, l_max: float) -> Curve:
     check_non_negative("l_max", l_max)
     if l_max == 0:
         return beta
-    return unary_op(
-        "packetize_service",
-        beta,
-        lambda b: b.vshift(-l_max).max0(),
-        key_extra=(l_max,),
-    )
+    return unary_op("packetize_service", beta, _packetize_service_generic, l_max)
+
+
+def _packetize_service_generic(beta: Curve, l_max: float) -> Curve:
+    return beta.vshift(-l_max).max0()
 
 
 def packetize_max_service(gamma: Curve, l_max: float) -> Curve:

@@ -22,7 +22,7 @@ pairwise piece combinations (see :mod:`repro.nc.minplus`).
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .tolerance import close
 
@@ -267,25 +267,42 @@ def envelope(
     return _canonicalize(out_points, out_segments)
 
 
+def merge_collinear(
+    bx: Sequence[float], by: Sequence[float], sy: Sequence[float], sl: Sequence[float]
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """Drop every breakpoint the function flows straight through.
+
+    The arguments are a curve's four arrays (see :mod:`repro.nc.curve`).
+    Breakpoint ``i`` goes when the merged piece before it reaches
+    ``by[i]`` continuously, ``by[i] == sy[i]`` and the slope does not
+    change, all under the shared tolerance.  The merged piece keeps its
+    own anchor and slope.
+    """
+    ox, oy, os_, ol = [bx[0]], [by[0]], [sy[0]], [sl[0]]
+    for x, y, s, k in zip(bx[1:], by[1:], sy[1:], sl[1:]):
+        left = os_[-1] + ol[-1] * (x - ox[-1])
+        if _close(left, y) and _close(y, s) and _close(ol[-1], k):
+            continue
+        ox.append(x)
+        oy.append(y)
+        os_.append(s)
+        ol.append(k)
+    return ox, oy, os_, ol
+
+
 def _canonicalize(
     points: list[Point], segments: list[Segment]
 ) -> tuple[list[Point], list[Segment]]:
     """Merge collinear/continuous neighbours into a minimal piece sequence."""
     assert len(points) == len(segments), (len(points), len(segments))
-    cp: list[Point] = [points[0]]
-    cs: list[Segment] = [segments[0]]
-    for p, s in zip(points[1:], segments[1:]):
-        prev = cs[-1]
-        # Merge when: previous segment flows continuously through the point
-        # into the next segment with an identical slope.
-        left_lim = prev.left_limit_at_x1
-        if (
-            _close(left_lim, p.y)
-            and _close(p.y, s.y0)
-            and _close(prev.slope, s.slope)
-        ):
-            cs[-1] = Segment(prev.x0, s.x1, prev.y0, prev.slope)
-        else:
-            cp.append(p)
-            cs.append(s)
-    return cp, cs
+    bx, by, sy, sl = merge_collinear(
+        [p.x for p in points],
+        [p.y for p in points],
+        [s.y0 for s in segments],
+        [s.slope for s in segments],
+    )
+    ends = bx[1:] + [math.inf]
+    return (
+        [Point(x, y) for x, y in zip(bx, by)],
+        [Segment(x, x1, y0, k) for x, x1, y0, k in zip(bx, ends, sy, sl)],
+    )

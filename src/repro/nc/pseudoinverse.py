@@ -82,7 +82,7 @@ def lower_pseudo_inverse(f: Curve) -> Curve:
     Requires ``f`` nondecreasing and unbounded (``final_slope > 0`` or
     an infinite staircase); bounded curves have an infinite inverse
     above their supremum, which raises :class:`UnboundedCurveError`.
-    Kernel-dispatched (memoized by content digest).
+    Kernel-dispatched.
     """
     return unary_op("lower_pseudo_inverse", f, _lower_pinv_generic)
 
@@ -96,6 +96,7 @@ def _lower_pinv_generic(f: Curve) -> Curve:
         )
     pts, segs = _inverse_pieces(f)
     e_pts, e_segs = envelope(pts, segs, lower=True, fill_holes=True)
+    # the checked constructor: an f(0) < 0 puts the first level below 0
     return Curve.from_pieces(e_pts, e_segs)
 
 
@@ -105,7 +106,7 @@ def upper_pseudo_inverse(f: Curve) -> Curve:
     Same domain restrictions as :func:`lower_pseudo_inverse`.  Flat
     pieces of ``f`` make the two inverses differ: the lower inverse
     takes a flat run's left end, the upper its right end.
-    Kernel-dispatched (memoized by content digest).
+    Kernel-dispatched.
     """
     return unary_op("upper_pseudo_inverse", f, _upper_pinv_generic)
 

@@ -25,7 +25,6 @@ from typing import Sequence
 from .._validation import check_non_negative, check_positive
 from .bounds import backlog_bound, delay_bound
 from .curve import Curve
-from .kernel import interned
 from .minplus import convolve
 
 __all__ = ["variable_rate_arrival", "GreedyShaper"]
@@ -91,9 +90,6 @@ class GreedyShaper:
             raise ValueError("shaping curve must be nondecreasing")
         if self.sigma(0.0) != 0.0:
             raise ValueError("shaping curve must satisfy sigma(0) = 0")
-        # one shaper is applied to many flows: intern sigma once so every
-        # per-flow convolution/deviation shares the same memo keys
-        object.__setattr__(self, "sigma", interned(self.sigma))
 
     def service_curve(self) -> Curve:
         """The shaper is a ``sigma``-server (greedy-shaper theorem)."""

@@ -6,9 +6,7 @@ before this module the repo had several: ``_EPS``/``_close`` in
 :mod:`repro.nc.pieces`, hardcoded ``1e-12`` monotonicity slack in
 :mod:`repro.nc.curve`, and assorted ``1e-9`` literals in the closure
 and fitting helpers.  Drifting epsilons are how two layers disagree
-about whether two curves are "the same"; the kernel's hash-consing
-(:mod:`repro.nc.kernel`) makes that disagreement fatal, because curve
-identity feeds memo keys.
+about whether two curves are "the same".
 
 Policy:
 
@@ -21,9 +19,9 @@ Policy:
 * :func:`close` — tolerant equality under :data:`EPS` (or an explicit
   override), shared by pieces, curve, kernel, and fitting.
 
-The digest in :mod:`repro.nc.kernel` intentionally does **not** use a
-tolerance: it hashes the exact canonical arrays, so the memo never
-conflates curves that merely look alike.
+``Curve.__eq__`` and ``Curve.__hash__`` intentionally do **not** use a
+tolerance: they compare the exact canonical arrays, so curves that
+merely look alike stay distinct.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ network-calculus **model** (:mod:`repro.streaming.analysis`), the
   pipelines), ``adversarial`` (saturation, bursts, deep aggregation,
   heavy tails);
 * :mod:`repro.scenarios.runner` — sweep-engine-backed execution
-  (content-addressed caching, kernel-memo worker pool) and the
-  expectation judge;
+  (content-addressed caching, worker pool) and the expectation judge;
 * :mod:`repro.scenarios.report` — markdown/JSON report artifacts.
 
 CLI: ``repro scenarios {list,run,report}``.

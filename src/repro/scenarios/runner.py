@@ -4,9 +4,8 @@ Each scenario evaluates through the *sweep engine's* pure point
 evaluator (:func:`repro.sweep.evaluate_point`) — a scenario is exactly
 a one-point sweep, so it inherits, unchanged: the content-addressed
 result cache (same :func:`~repro.sweep.cache.point_key` addressing),
-the per-point SHA-256 seed derivation, the process pool with the
-curve-algebra kernel memo installed per worker, the batched curve
-evaluation of the conformance replay
+the per-point SHA-256 seed derivation, the process pool, the batched
+curve evaluation of the conformance replay
 (:func:`repro.nc.kernel.eval_batch`), and the graceful serial
 fallback.  Warm catalog runs are therefore pure cache reads.
 
@@ -303,10 +302,10 @@ def run_catalog(
 ) -> CatalogResult:
     """Evaluate and judge a list of scenarios.
 
-    ``jobs > 1`` evaluates cache misses on a process pool with the
-    kernel memo initializer (the same arrangement as sweep runs); any
-    pool failure degrades to serial evaluation of the remaining
-    scenarios.  Results keep the input order.
+    ``jobs > 1`` evaluates cache misses on a process pool (the same
+    arrangement as sweep runs); any pool failure degrades to serial
+    evaluation of the remaining scenarios.  Results keep the input
+    order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -373,11 +372,7 @@ def _run_parallel(
     try:
         from concurrent.futures import ProcessPoolExecutor
 
-        from ..nc.kernel import worker_init
-
-        executor = ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)), initializer=worker_init
-        )
+        executor = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
     except Exception:
         return "parallel-degraded"
     mode = "parallel"

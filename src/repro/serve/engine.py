@@ -26,9 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from ..nc.kernel import memo_stats as kernel_memo_stats
-from ..nc.kernel import publish_metrics as publish_kernel_metrics
-from ..nc.kernel import worker_init as kernel_worker_init
 from ..telemetry.metrics import MetricsRegistry
 from ..sweep.cache import ResultCache, point_key
 from ..sweep.runner import point_seed
@@ -44,7 +41,7 @@ def _default_workers() -> int:
 
 
 def _pool_worker_init(parent_pid: int) -> None:
-    """Worker-process initializer: kernel memo + parent-death watchdog.
+    """Worker-process initializer: a parent-death watchdog.
 
     A ``ProcessPoolExecutor`` worker whose parent is SIGKILLed (the
     cluster chaos path — ``ShardProcess.kill``) never learns: every
@@ -61,7 +58,6 @@ def _pool_worker_init(parent_pid: int) -> None:
     still bootstrapping, ``os.getppid()`` here would already report the
     reaper and a self-captured "parent" would never change.
     """
-    kernel_worker_init()
     if os.getppid() != parent_pid:
         os._exit(0)  # orphaned before the initializer even ran
 
@@ -144,9 +140,6 @@ class AnalysisEngine:
     async def start(self) -> None:
         """Create the pool, calibrate, build the admission controller."""
         cfg = self.config
-        # each worker keeps one curve-algebra kernel memo for its whole
-        # lifetime: repeated /analyze requests over the same pipelines
-        # become kernel memo hits instead of fresh min-plus algebra
         self.executor = ProcessPoolExecutor(
             max_workers=cfg.resolved_workers(),
             initializer=_pool_worker_init,
@@ -314,19 +307,14 @@ class AnalysisEngine:
         report["inflight"] = inflight
         report["batch_window_s"] = self.config.batch_window_s
         report["draining"] = draining
-        # the serving process runs its own NC algebra for admission
-        # control; expose that kernel's memo health alongside the model
-        report["kernel_memo"] = kernel_memo_stats()
         return report
 
     def stats(self, *, inflight: int) -> dict[str, Any]:
         """Counters, latency histograms, cache and batching effectiveness."""
-        publish_kernel_metrics(self.metrics)
         return {
             "name": self.config.name,
             "metrics": self.metrics.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
             "batching": self.coalescer.stats(),
-            "kernel_memo": kernel_memo_stats(),
             "inflight": inflight,
         }

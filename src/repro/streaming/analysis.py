@@ -30,7 +30,6 @@ from ..nc import (
     UnboundedCurveError,
     backlog_bound,
     delay_bound,
-    interned,
     output_arrival_curve,
 )
 from ..nc.transient import (
@@ -200,7 +199,7 @@ def analyze(
         alpha_star = output_arrival_curve(alpha, beta, gamma)
     except UnboundedCurveError:
         if workload is not None:
-            capped = alpha.minimum(interned(Curve.constant(workload)))
+            capped = alpha.minimum(Curve.constant(workload))
             alpha_star = output_arrival_curve(capped, beta, gamma)
 
     queueing = TandemQueueingModel.from_rates(

@@ -2,17 +2,14 @@
 
 The paper's applications are linear chains (Figs. 3 and 9) whose nodes
 represent computations *or* communications.  :class:`Pipeline` holds the
-raw stage measurements plus the source description, provides the
-normalized (input-referred) view, and exports a :mod:`networkx` graph
-for structural tooling.
+raw stage measurements plus the source description and provides the
+normalized (input-referred) view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from .._validation import check_non_negative, check_positive
 from ..nc import Curve, leaky_bucket
@@ -101,25 +98,6 @@ class Pipeline:
         return Pipeline(
             f"{self.name}[{start}..{stop}]", self.source, self.stages[i : j + 1]
         )
-
-    def graph(self) -> "nx.DiGraph":
-        """The flow graph (source + stages + sink) as a networkx DiGraph."""
-        g = nx.DiGraph(name=self.name)
-        g.add_node("__source__", kind="source", rate=self.source.rate)
-        prev = "__source__"
-        for s in self.stages:
-            g.add_node(
-                s.name,
-                kind=s.kind.value,
-                avg_rate=s.avg_rate,
-                latency=s.latency,
-                job_ratio=s.job_ratio,
-            )
-            g.add_edge(prev, s.name)
-            prev = s.name
-        g.add_node("__sink__", kind="sink")
-        g.add_edge(prev, "__sink__")
-        return g
 
     def __len__(self) -> int:
         return len(self.stages)

@@ -222,14 +222,7 @@ def _run_parallel(
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        from ..nc.kernel import worker_init
-
-        # one curve-algebra kernel memo per worker process, shared across
-        # every point that worker evaluates (points of a sweep reuse the
-        # same service/arrival curves under different parameters)
-        executor = ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)), initializer=worker_init
-        )
+        executor = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
     except Exception:  # pool creation failure (e.g. no sem support)
         return "parallel-degraded"
     mode = "parallel"

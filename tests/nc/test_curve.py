@@ -224,6 +224,13 @@ class TestCanonicalEquality:
         assert a != leaky_bucket(1.0, 2.5)
         assert a.__eq__(42) is NotImplemented
 
+    def test_signed_zeros_hash_alike(self):
+        # == compares values, so -0.0 and 0.0 arrays must hash alike
+        z, nz = Curve.zero(), -Curve.zero()
+        assert z == nz
+        assert hash(z) == hash(nz)
+        assert len({z, nz}) == 1
+
     def test_almost_equal(self):
         a = leaky_bucket(1.0, 2.0)
         b = leaky_bucket(1.0, 2.0 + 1e-12)

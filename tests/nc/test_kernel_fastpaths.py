@@ -1,47 +1,48 @@
-"""Exactness and identity guarantees of the curve-algebra kernel.
+"""Exactness guarantees of the curve-algebra kernel's fast paths.
 
 The kernel's contracts, each property-tested here:
 
-* fast paths are exact closed forms — on dyadic-rational inputs (where
-  the generic envelope's own float arithmetic is exact) they reproduce
-  the generic algorithm bit-for-bit, and on arbitrary floats they agree
+* closed forms are exact — on dyadic-rational inputs (where the
+  generic envelope's own float arithmetic is exact) they reproduce the
+  generic algorithm bit-for-bit, and on arbitrary floats they agree
   with it pointwise up to envelope rounding;
-* enabling/disabling the kernel only adds or removes caching — analysis
-  results are byte-identical on, off, cold, and warm;
-* memo hits return the very object the cold path produced, errors are
-  never swallowed or cached, and the tables stay bounded.
+* the one-pass forms against a rate-latency or constant-rate curve
+  match the exact rational reference on both curve families, jumps
+  included, raise ``UnboundedCurveError`` exactly when the exact result
+  is unbounded, and equal the generic bit-for-bit on the dyadic grid;
+* packetizing a rate-latency curve is bit-identical to the generic
+  ``[beta - l]^+`` on arbitrary floats;
+* tandem analysis folds the arrival curve through the chain once.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.blast import blast_pipeline
-from repro.apps.bump_in_the_wire import bitw_pipeline
 from repro.nc import (
+    EPS,
     Curve,
+    Tandem,
+    TandemNode,
     UnboundedCurveError,
     backlog_bound,
     constant_rate,
     convolve,
     deconvolve,
     delay_bound,
-    digest_of,
     eval_batch,
-    interned,
-    kernel_disabled,
-    kernel_enabled,
     leaky_bucket,
     lower_pseudo_inverse,
-    memo_stats,
+    output_arrival_curve,
+    packetize_service,
     rate_latency,
-    reset_kernel,
-    set_kernel_enabled,
+    staircase,
     subadditive_closure,
     token_bucket_stair,
     vertical_deviation,
@@ -50,9 +51,17 @@ from repro.nc.closure import _closure_generic
 from repro.nc.curve import _maximum_generic, _minimum_generic
 from repro.nc.minplus import _convolve_generic, _deconvolve_generic
 from repro.nc.pseudoinverse import _lower_pinv_generic
-from repro.streaming import analyze
 
-from .conftest import nondecreasing_curves
+from .conftest import (
+    assert_matches_exact,
+    diff_kinks,
+    exact_convolve,
+    exact_deconvolve,
+    exact_vertical_deviation,
+    float_curves,
+    nondecreasing_curves,
+    sum_kinks,
+)
 
 _settings = settings(max_examples=60, deadline=None)
 
@@ -67,14 +76,6 @@ _dyadic_bursts = st.integers(min_value=0, max_value=1024).map(lambda k: k / 8.0)
 _any_rates = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
 _any_lat = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
 _any_bursts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_kernel():
-    reset_kernel()
-    yield
-    reset_kernel()
-    set_kernel_enabled(True)
 
 
 def assert_same_arrays(a: Curve, b: Curve) -> None:
@@ -173,123 +174,158 @@ class TestFastPathSemanticAgreement:
         assert_same_values(fast, generic, xs)
 
 
-class TestOnOffByteIdentity:
-    """Disabling the kernel removes caching only — results are identical."""
+# --------------------------------------------------------------------- #
+# one-pass forms against rate-latency and constant-rate curves
+# --------------------------------------------------------------------- #
+
+
+def _service(rate: float, latency: float) -> Curve:
+    """beta_{R,T}; T = 0 gives the constant-rate curve, R = 0 the zero curve."""
+    return rate_latency(rate, latency) if rate > 0 else constant_rate(0.0)
+
+
+_dyadic_service = st.builds(
+    _service,
+    st.integers(min_value=0, max_value=32).map(lambda k: k / 4.0),
+    st.one_of(st.just(0.0), _dyadic_lat),
+)
+_float_service = st.builds(
+    _service,
+    st.one_of(st.just(0.0), _any_rates),
+    st.one_of(st.just(0.0), _any_lat),
+)
+
+
+def _check_against_exact(f: Curve, g: Curve) -> None:
+    assert_matches_exact(convolve(f, g), exact_convolve(f, g), sum_kinks(f, g))
+    exact = exact_deconvolve(f, g)
+    if exact(Fraction(0)) == math.inf:
+        with pytest.raises(UnboundedCurveError):
+            deconvolve(f, g)
+    else:
+        assert_matches_exact(deconvolve(f, g), exact, diff_kinks(f, g))
+    exact_v = exact_vertical_deviation(f, g)
+    v = vertical_deviation(f, g)
+    if exact_v == math.inf:
+        assert v == math.inf
+    else:
+        scale = max(1, abs(exact_v))
+        assert abs(Fraction(v) - exact_v) <= Fraction(EPS) * scale, (v, float(exact_v))
+
+
+class TestRateLatencyForms:
+    @_settings
+    @given(nondecreasing_curves(6), _dyadic_service)
+    def test_dyadic_bit_identical_to_generic(self, f, g):
+        assert_same_arrays(convolve(f, g), _convolve_generic(f, g))
+        if f.final_slope <= g.final_slope:
+            assert_same_arrays(deconvolve(f, g), _deconvolve_generic(f, g))
 
     @_settings
-    @given(_any_rates, _any_bursts, _any_rates, _any_lat)
-    def test_ops_identical_on_off(self, ra, b, rb, t):
-        a, s = leaky_bucket(ra, b), rate_latency(rb, t)
-        reset_kernel()
-        on_conv = convolve(a, s)
-        on_vdev = vertical_deviation(a, s)
-        on_hdev = delay_bound(a, s)
-        with kernel_disabled():
-            assert_same_arrays(convolve(a, s), on_conv)
-            assert vertical_deviation(a, s) == on_vdev
-            off_hdev = delay_bound(a, s)
-            assert off_hdev == on_hdev or (math.isinf(off_hdev) and math.isinf(on_hdev))
+    @given(nondecreasing_curves(6), _dyadic_service)
+    def test_dyadic_against_exact(self, f, g):
+        _check_against_exact(f, g)
 
-    def test_errors_not_swallowed_or_cached(self):
-        a, s = leaky_bucket(10.0, 1.0), rate_latency(5.0, 0.1)  # unstable
-        for _ in range(2):  # second call must raise again, not hit a memo
-            with pytest.raises(UnboundedCurveError):
-                deconvolve(a, s)
-        with kernel_disabled():
-            with pytest.raises(UnboundedCurveError):
-                deconvolve(a, s)
+    @_settings
+    @given(float_curves(6), _float_service)
+    def test_float_against_exact(self, f, g):
+        _check_against_exact(f, g)
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            staircase(8.0, 0.25, n_steps=12),
+            token_bucket_stair(100.0, 64.0, 8.0, n_steps=16),
+            # jumps at interior breakpoints and a flat run
+            Curve([0.0, 1.0, 2.5], [0.0, 3.0, 4.0], [2.0, 3.5, 6.0], [1.0, 0.0, 2.0]),
+        ],
+        ids=["staircase", "token-bucket-stair", "jumps"],
+    )
+    @pytest.mark.parametrize("g", [constant_rate(3.0), rate_latency(3.0, 0.75)], ids=["lambda", "beta"])
+    def test_jump_shapes_against_exact(self, f, g):
+        _check_against_exact(f, g)
 
-class TestMemoAndInterning:
-    def test_warm_hit_returns_same_object(self):
-        a, s = leaky_bucket(100.0, 8.0), rate_latency(150.0, 0.01)
-        cold = convolve(a, s)
-        warm = convolve(a, s)
-        assert warm is cold
-        assert memo_stats()["hits"] >= 1
+    @pytest.mark.parametrize("g", [constant_rate(2.0), rate_latency(2.0, 0.5)], ids=["lambda", "beta"])
+    def test_decreasing_curve_against_exact(self, g):
+        # not in the NC class: a downward jump and a falling piece.  The
+        # constant-rate scans take any curve; against a latency the
+        # shift is unsound, so the generic answers.
+        f = Curve([0.0, 1.0, 2.0], [1.0, 0.5, 3.0], [4.0, 2.0, 3.0], [-1.0, 1.0, 1.0])
+        _check_against_exact(f, g)
 
-    def test_builders_intern_to_one_object(self):
-        assert leaky_bucket(10.0, 2.0) is leaky_bucket(10.0, 2.0)
-        assert rate_latency(5.0, 0.5) is rate_latency(5.0, 0.5)
-        assert constant_rate(3.0) is constant_rate(3.0)
-
-    def test_digest_stable_and_discriminating(self):
-        a = leaky_bucket(10.0, 2.0)
-        assert digest_of(a) == digest_of(leaky_bucket(10.0, 2.0))
-        assert digest_of(a) != digest_of(leaky_bucket(10.0, 3.0))
-
-    def test_structural_equality_via_digest(self):
-        a = leaky_bucket(10.0, 2.0)
-        b = leaky_bucket(10.0, 2.0)
-        assert a == b and hash(a) == hash(b)
-
-    def test_disabled_kernel_interning_is_identity(self):
-        with kernel_disabled():
-            assert not kernel_enabled()
-            c = Curve([0.0], [0.0], [1.0], [2.0])
-            assert interned(c) is c
-        assert kernel_enabled()
-
-    def test_memo_bounded_with_evictions(self, monkeypatch):
-        from repro.nc import kernel
-
-        monkeypatch.setattr(kernel, "_MEMO_MAX", 8)
-        reset_kernel()
-        for i in range(1, 30):
-            # staircase operands dodge the fast paths, forcing memo writes
-            deconvolve(leaky_bucket(float(i), 1.0), rate_latency(float(i) * 2.0, 0.25))
-            delay_bound(leaky_bucket(float(i), 1.0), rate_latency(float(i) * 2.0, 0.25))
-        stats = memo_stats()
-        assert stats["size"] <= 8
-        assert stats["evictions"] > 0
-
-    def test_stats_shape(self):
-        stats = memo_stats()
-        for key in (
-            "enabled",
-            "size",
-            "max_size",
-            "hits",
-            "misses",
-            "hit_rate",
-            "evictions",
-            "fast_path_hits",
-            "interned_curves",
-        ):
-            assert key in stats
-
-    def test_eval_batch_counts_and_values(self):
-        c = token_bucket_stair(1000.0, 64.0, 8.0, n_steps=16)
-        xs = np.array([0.0, 1e-4, 0.05, 0.5])
-        got = eval_batch(c, xs)
-        assert got.shape == (4,)
-        assert np.array_equal(got, np.asarray(c(xs), dtype=float))
-        assert eval_batch(c, 0.25).shape == (1,)
-        stats = memo_stats()
-        assert stats["eval_batch_calls"] == 2
-        assert stats["eval_batch_points"] == 5
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=1e-3, max_value=1e9),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)),
+        st.floats(min_value=1e-3, max_value=1e9),
+    )
+    def test_packetized_rate_latency_bit_identical(self, rate, latency, l_max):
+        beta = rate_latency(rate, latency)
+        assert_same_arrays(packetize_service(beta, l_max), beta.vshift(-l_max).max0())
 
 
-class TestEndToEndByteIdentity:
-    @pytest.mark.parametrize("make", [blast_pipeline, bitw_pipeline])
-    def test_analysis_identical_on_off_warm(self, make):
-        pipe = make()
-        with kernel_disabled():
-            off = analyze(pipe).summary()
-        reset_kernel()
-        cold = analyze(pipe).summary()
-        warm = analyze(pipe).summary()
-        assert off == cold == warm
+def test_unbounded_deconvolution_raises_on_every_call():
+    for f in (leaky_bucket(10.0, 1.0), Curve.from_breakpoints([0.0, 1.0], [0.0, 4.0], 10.0)):
+        for g in (rate_latency(5.0, 0.1), constant_rate(5.0)):
+            for _ in range(2):
+                with pytest.raises(UnboundedCurveError, match="exceeds the denominator"):
+                    deconvolve(f, g)
+            assert vertical_deviation(f, g) == math.inf
 
-    @pytest.mark.parametrize("make", [blast_pipeline, bitw_pipeline])
-    def test_bounds_identical_on_off(self, make):
-        from repro.streaming import build_model
 
-        pipe = make()
-        with kernel_disabled():
-            m = build_model(pipe)
-            off = (delay_bound(m.alpha, m.beta_system), backlog_bound(m.alpha, m.beta_system))
-        reset_kernel()
-        m = build_model(pipe)
-        on = (delay_bound(m.alpha, m.beta_system), backlog_bound(m.alpha, m.beta_system))
-        assert off == on
+def test_eval_batch_values():
+    c = token_bucket_stair(1000.0, 64.0, 8.0, n_steps=16)
+    xs = np.array([0.0, 1e-4, 0.05, 0.5])
+    got = eval_batch(c, xs)
+    assert got.shape == (4,)
+    assert np.array_equal(got, np.asarray(c(xs), dtype=float))
+    assert eval_batch(c, 0.25).shape == (1,)
+
+
+# --------------------------------------------------------------------- #
+# tandem propagation
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def stable_tandems(draw) -> Tandem:
+    """A leaky-bucket flow through 1-5 packetized rate-latency nodes, each
+    at least as fast as the flow, with constant-rate maximum service."""
+    rate = draw(_any_rates)
+    alpha = leaky_bucket(rate, draw(_any_bursts))
+    nodes = []
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        r_min = rate * draw(st.floats(min_value=1.0, max_value=4.0))
+        beta = packetize_service(rate_latency(r_min, draw(_any_lat)), draw(_any_bursts) + 1.0)
+        gamma = constant_rate(r_min * draw(st.floats(min_value=1.0, max_value=3.0)))
+        nodes.append(TandemNode(beta, gamma, f"n{i}"))
+    return Tandem(alpha, nodes)
+
+
+class TestTandemFold:
+    @_settings
+    @given(stable_tandems())
+    def test_per_node_results_equal_a_direct_fold(self, tandem):
+        a = tandem.alpha
+        backlogs, delays, arrivals = [], [], []
+        for node in tandem.nodes:
+            arrivals.append(a)
+            backlogs.append(backlog_bound(a, node.beta))
+            delays.append(delay_bound(a, node.beta))
+            a = output_arrival_curve(a, node.beta, node.gamma)
+        assert tandem.per_node_backlog_bounds() == backlogs
+        assert tandem.sum_of_per_node_delay_bounds() == sum(delays)
+        assert_same_arrays(tandem.output_envelope(), a)
+        for i, want in enumerate(arrivals):
+            assert_same_arrays(tandem.arrival_at(i), want)
+
+    def test_unstable_node_stops_the_fold(self):
+        # node 0 is slower than the flow: its delay is infinite, and the
+        # sum returns before deriving the (unbounded) curve that leaves it
+        tandem = Tandem(
+            leaky_bucket(10.0, 1.0),
+            [TandemNode(rate_latency(5.0, 0.1)), TandemNode(rate_latency(20.0, 0.1))],
+        )
+        assert tandem.sum_of_per_node_delay_bounds() == math.inf
+        with pytest.raises(UnboundedCurveError):
+            tandem.per_node_backlog_bounds()

@@ -58,12 +58,6 @@ class TestPipeline:
         assert p2.stages[1].avg_rate == 500 * MiB
         assert p.stages[1].avg_rate == 120 * MiB  # original untouched
 
-    def test_graph(self):
-        g = stable_pipeline().graph()
-        assert g.number_of_nodes() == 5  # source + 3 + sink
-        assert g.has_edge("__source__", "a")
-        assert g.has_edge("b", "__sink__")
-
     def test_validation(self):
         src = Source(rate=1.0)
         with pytest.raises(ValueError):
