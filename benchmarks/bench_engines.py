@@ -1,7 +1,6 @@
 """Micro-benchmarks of the two engines everything else is built on.
 
-* the DES kernel: event throughput of a ping-pong process pair and of a
-  producer/consumer store pattern;
+* the DES kernel: event throughput of a timeout-driven process;
 * the min-plus algebra: convolution/deconvolution of representative
   curve sizes, and the full BLAST tandem concatenation.
 
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.des import Environment, Store
+from repro.des import Environment
 from repro.nc import (
     Curve,
     convolve,
@@ -52,29 +51,6 @@ def _ping_pong(n_events: int) -> float:
 def test_des_timeout_throughput(benchmark):
     result = benchmark(_ping_pong, 2000)
     assert result == 2000.0
-
-
-def _producer_consumer(n_items: int) -> int:
-    env = Environment()
-    store = Store(env, capacity=16)
-    got = []
-
-    def producer(env):
-        for i in range(n_items):
-            yield store.put(i)
-
-    def consumer(env):
-        for _ in range(n_items):
-            got.append((yield store.get()))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    return len(got)
-
-
-def test_des_store_throughput(benchmark):
-    assert benchmark(_producer_consumer, 1000) == 1000
 
 
 def _random_pwl(seed: int, n: int = 12) -> Curve:
@@ -144,7 +120,6 @@ def _workloads():
 
     return {
         "des_timeout_throughput": lambda: _ping_pong(2000),
-        "des_store_throughput": lambda: _producer_consumer(1000),
         "minplus_convolution": lambda: convolve(f, g),
         "minplus_deconvolution": lambda: deconvolve(dec_f, dec_g),
         "blast_tandem_concatenation": lambda: convolve_many(curves),

@@ -1,11 +1,17 @@
 """Atomic filesystem writes shared by every artifact producer.
 
-Concurrent writers (parallel sweeps, the analysis server's worker pool,
-overlapping CI jobs) must never leave a torn file where a reader — or
-another writer — expects a complete JSON/CSV document.  The standard
-POSIX answer is write-to-temp-then-rename: ``os.replace`` is atomic on
-the same filesystem, so observers see either the old content or the new,
-never a prefix.
+Its callers: the sweep artifact store (``results.json``/``.csv``,
+``manifest.json``), the scenario reports, the figure CSVs, exported
+model documents, Perfetto trace files and the cluster's tenant journal
+(the only durable one).  The result cache is not among them: its
+entries are rows of one SQLite file (:mod:`repro.sweep.cache`).
+
+Concurrent writers (parallel sweeps, overlapping CI jobs) must never
+leave a torn file where a reader — or another writer — expects a
+complete JSON/CSV document.  The standard POSIX answer is
+write-to-temp-then-rename: ``os.replace`` is atomic on the same
+filesystem, so observers see either the old content or the new, never
+a prefix.
 
 The temp file is created with :func:`tempfile.mkstemp` *in the target
 directory* — unique per call, so two threads of one process (same PID)
@@ -17,8 +23,8 @@ Atomic is not durable: without fsync, a host crash can lose a rename
 the program already acknowledged, or leave the new name pointing at an
 empty file.  ``durable=True`` fsyncs the temp file before the rename
 and the directory after it.  Only state that promises to survive a host
-crash asks for it (the tenant journal); caches and reports do not pay
-two fsyncs per write.
+crash asks for it (the tenant journal); reports do not pay two fsyncs
+per write.
 """
 
 from __future__ import annotations

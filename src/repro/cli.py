@@ -47,7 +47,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from . import __version__
 from .units import MiB
@@ -475,7 +475,6 @@ def _cmd_export(args: argparse.Namespace) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from .sweep import (
-        ResultCache,
         SweepPoint,
         SweepSpec,
         parse_grid_arg,
@@ -502,8 +501,8 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         raise SystemExit(f"bad sweep grid: {exc}")
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    cache = ResultCache(args.cache_dir) if args.cache_dir is not None else None
-    result = run_sweep(spec, jobs=args.jobs, cache=cache)
+    with _open_cache(args.cache_dir) as cache:
+        result = run_sweep(spec, jobs=args.jobs, cache=cache)
 
     lines = [result.summary(), "", "points:"]
     for r in result.results:
@@ -777,21 +776,23 @@ def _cmd_cluster(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_cache(args: argparse.Namespace) -> tuple[str, int]:
     from .sweep import ResultCache
+    from .sweep.cache import STORE_FILE
     from .units import format_seconds
 
-    if not args.dir.is_dir():
+    # maintenance never creates a store: only an existing one qualifies
+    if not (args.dir / STORE_FILE).is_file():
         raise SystemExit(f"not a cache directory: {args.dir}")
-    cache = ResultCache(args.dir)
-    lines: list[str] = []
     if args.clear and args.max_age is not None:
         raise SystemExit("--clear and --max-age are mutually exclusive")
-    if args.clear:
-        lines.append(f"removed {cache.clear()} entries")
-    elif args.max_age is not None:
-        if args.max_age < 0:
-            raise SystemExit("--max-age must be >= 0")
-        lines.append(f"removed {cache.prune(max_age_s=args.max_age)} entries")
-    stats = cache.stats()
+    if args.max_age is not None and args.max_age < 0:
+        raise SystemExit("--max-age must be >= 0")
+    lines: list[str] = []
+    with ResultCache(args.dir) as cache:
+        if args.clear:
+            lines.append(f"removed {cache.clear()} entries")
+        elif args.max_age is not None:
+            lines.append(f"removed {cache.prune(max_age_s=args.max_age)} entries")
+        stats = cache.stats()
     lines += [
         f"== cache: {stats['directory']} ==",
         f"entries            {stats['entries']}",
@@ -801,6 +802,16 @@ def _cmd_cache(args: argparse.Namespace) -> tuple[str, int]:
         lines.append(f"oldest entry       {format_seconds(stats['oldest_age_s'])} ago")
         lines.append(f"newest entry       {format_seconds(stats['newest_age_s'])} ago")
     return "\n".join(lines), 0
+
+
+def _open_cache(directory: "Path | None") -> Any:
+    """The result cache under ``directory`` as a context that closes it,
+    or a null context yielding ``None`` when no directory was given."""
+    from contextlib import nullcontext
+
+    from .sweep import ResultCache
+
+    return ResultCache(directory) if directory is not None else nullcontext()
 
 
 def _scenario_selection(args: argparse.Namespace) -> list:
@@ -876,10 +887,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> "tuple[str, int]":
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     specs = _scenario_selection(args)
-    from .sweep import ResultCache
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir is not None else None
-    result = S.run_catalog(specs, jobs=args.jobs, cache=cache)
+    with _open_cache(args.cache_dir) as cache:
+        result = S.run_catalog(specs, jobs=args.jobs, cache=cache)
     lines = [result.summary()]
     if args.out is not None:
         path = S.write_reports(result, args.out)

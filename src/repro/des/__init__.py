@@ -1,9 +1,12 @@
 """Discrete-event simulation substrate.
 
-A from-scratch, SimPy-compatible process-interaction kernel
-(:mod:`repro.des.core`, :mod:`repro.des.events`,
-:mod:`repro.des.resources`) plus the streaming-pipeline simulator the
-paper uses as its validation baseline (:mod:`repro.des.pipeline_sim`).
+A from-scratch, SimPy-style process-interaction kernel
+(:mod:`repro.des.core`, :mod:`repro.des.events`) plus the
+streaming-pipeline simulator the paper uses as its validation baseline
+(:mod:`repro.des.pipeline_sim`, solved as a max-plus recurrence by
+:mod:`repro.des.recurrence` when nothing needs the event loop).  The
+simulator's inter-stage queues are its own byte-counted
+:class:`ByteQueue`; the kernel has no generic stores or resources.
 
 Quick start::
 
@@ -28,7 +31,6 @@ from .core import (
     Timeout,
 )
 from .events import AllOf, AnyOf, Condition
-from .resources import Container, Resource, Store
 from .distributions import (
     bounded_pareto,
     constant,
@@ -51,9 +53,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "Container",
-    "Resource",
-    "Store",
     "bounded_pareto",
     "constant",
     "exponential",

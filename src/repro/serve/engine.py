@@ -196,10 +196,13 @@ class AnalysisEngine:
             self.admission = None  # open door: no envelope configured
 
     async def aclose(self) -> None:
-        """Flush forming batches and stop the pool (after its tasks finish)."""
+        """Flush forming batches, stop the pool (after its tasks finish)
+        and close the cache."""
         await self.coalescer.flush()
         if self.executor is not None:
             self.executor.shutdown(wait=True)
+        if self.cache is not None:
+            self.cache.close()
 
     # ------------------------------------------------------------------ #
     # evaluation

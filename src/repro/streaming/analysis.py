@@ -12,6 +12,11 @@ what the paper reports for each application:
 * the model curves (``alpha``, ``beta``, ``gamma``, ``alpha*``) that
   Figures 4 and 10 plot.
 
+The per-node breakdown (``nodes``) and ``alpha_star`` are computed on
+first read, from the report's model and curves: a sweep point, catalog
+scenario or served request reads neither, and so never pays for the
+per-node backlog fold or the output-envelope deconvolution.
+
 When ``R_alpha > R_beta`` the asymptotic bounds are infinite; following
 the paper's stated hypothesis the report then carries the closed-form
 *transient estimates* (``T + b/R_beta``, ``b + R_alpha*T``) flagged by
@@ -21,8 +26,8 @@ finite-workload bounds from :mod:`repro.nc.transient`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..nc import (
@@ -64,7 +69,13 @@ class NodeReport:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the network-calculus model says about one pipeline."""
+    """Everything the network-calculus model says about one pipeline.
+
+    ``nodes`` and ``alpha_star`` are lazy: each is computed on its first
+    read (from ``model``, ``alpha``, ``beta``, ``gamma`` and
+    ``workload``) and kept.  Every other field is computed by
+    :func:`analyze`.
+    """
 
     pipeline_name: str
     model: SystemModel
@@ -80,11 +91,50 @@ class AnalysisReport:
     delay_bound_workload: Optional[float]
     backlog_bound_workload: Optional[float]
     queueing_prediction: float
-    nodes: tuple[NodeReport, ...]
     alpha: Curve
     beta: Curve
     gamma: Curve
-    alpha_star: Optional[Curve]
+    #: the finite workload (input-referred bytes) the bounds were asked for
+    workload: Optional[float]
+
+    @cached_property
+    def nodes(self) -> tuple[NodeReport, ...]:
+        """The per-node breakdown: rates, job shape, latency terms and
+        backlog contribution (the paper's buffer-allocation aid)."""
+        model = self.model
+        return tuple(
+            NodeReport(
+                name=s.name,
+                kind=s.kind,
+                rate_min=s.rate_min,
+                rate_avg=s.rate_avg,
+                rate_max=s.rate_max,
+                job_bytes=s.job_bytes,
+                job_ratio=s.job_ratio,
+                collection_time=term.collection_time,
+                dispatch_latency=term.dispatch_latency,
+                backlog_contribution=b,
+            )
+            for s, term, b in zip(
+                model.normalized, model.latency_terms, _per_node_backlogs(model)
+            )
+        )
+
+    @cached_property
+    def alpha_star(self) -> Optional[Curve]:
+        """The output arrival curve ``(alpha (*) gamma) (/) beta``.
+
+        Unbounded when ``R_alpha > R_beta``: the flow is then capped at
+        ``workload`` (mirroring a finite experiment), or ``None`` without
+        one.
+        """
+        try:
+            return output_arrival_curve(self.alpha, self.beta, self.gamma)
+        except UnboundedCurveError:
+            if self.workload is None:
+                return None
+            capped = self.alpha.minimum(Curve.constant(self.workload))
+            return output_arrival_curve(capped, self.beta, self.gamma)
 
     def summary(self) -> str:
         """Human-readable report in the shape of the paper's tables."""
@@ -194,35 +244,10 @@ def analyze(
         d_w = delay_bound_finite_workload(alpha, beta, workload)
         x_w = backlog_bound_finite_workload(alpha, beta, workload)
 
-    alpha_star: Optional[Curve] = None
-    try:
-        alpha_star = output_arrival_curve(alpha, beta, gamma)
-    except UnboundedCurveError:
-        if workload is not None:
-            capped = alpha.minimum(Curve.constant(workload))
-            alpha_star = output_arrival_curve(capped, beta, gamma)
-
     queueing = TandemQueueingModel.from_rates(
         [(s.name, s.rate_avg, s.job_bytes) for s in model.normalized],
         input_rate=pipeline.source.rate,
     ).predicted_throughput()
-
-    backlogs = _per_node_backlogs(model)
-    nodes = tuple(
-        NodeReport(
-            name=s.name,
-            kind=s.kind,
-            rate_min=s.rate_min,
-            rate_avg=s.rate_avg,
-            rate_max=s.rate_max,
-            job_bytes=s.job_bytes,
-            job_ratio=s.job_ratio,
-            collection_time=term.collection_time,
-            dispatch_latency=term.dispatch_latency,
-            backlog_contribution=b,
-        )
-        for s, term, b in zip(model.normalized, model.latency_terms, backlogs)
-    )
 
     return AnalysisReport(
         pipeline_name=pipeline.name,
@@ -241,9 +266,8 @@ def analyze(
         delay_bound_workload=d_w,
         backlog_bound_workload=x_w,
         queueing_prediction=queueing,
-        nodes=nodes,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        alpha_star=alpha_star,
+        workload=workload,
     )

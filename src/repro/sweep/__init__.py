@@ -8,7 +8,7 @@ subsystem makes that exploration a first-class, scalable operation:
 * :mod:`repro.sweep.runner` — parallel evaluation with deterministic
   per-point seeds and graceful serial fallback;
 * :mod:`repro.sweep.cache`  — content-addressed result cache keyed by
-  (model JSON, point, options, code version);
+  (model JSON, point, options, code version), one SQLite file;
 * :mod:`repro.sweep.store`  — JSON/CSV artifacts plus a run manifest.
 
 Typical flow::
@@ -16,7 +16,8 @@ Typical flow::
     from repro.sweep import Axis, SweepSpec, ResultCache, run_sweep, write_artifacts
 
     spec = SweepSpec.from_pipeline(pipe, [Axis("scale:network", (0.5, 1.0, 2.0))])
-    result = run_sweep(spec, jobs=4, cache=ResultCache(".sweep-cache"))
+    with ResultCache(".sweep-cache") as cache:
+        result = run_sweep(spec, jobs=4, cache=cache)
     write_artifacts(result, spec, "out/")
 """
 

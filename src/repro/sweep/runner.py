@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..units import MiB
-from .cache import ResultCache, canonical_json, point_key
+from .cache import ResultCache, canonical_json, point_keyer
 from .spec import SweepPoint, SweepSpec
 
 __all__ = [
@@ -389,7 +389,8 @@ def run_sweep(
     points = list(spec.points())
 
     seeds = [point_seed(spec.base_seed, p.params) for p in points]
-    keys = [point_key(model, p.params, options) for p in points]
+    key_of = point_keyer(model, options)
+    keys = [key_of(p.params) for p in points]
 
     raw: dict[int, dict[str, Any]] = {}
     cached_flags: dict[int, bool] = {}

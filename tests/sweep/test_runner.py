@@ -2,6 +2,7 @@
 per-point seeds, artifact store."""
 
 import json
+import math
 
 import pytest
 
@@ -11,12 +12,15 @@ from repro.sweep import (
     Axis,
     ResultCache,
     SweepSpec,
+    point_key,
     point_seed,
     run_sweep,
     write_artifacts,
 )
 from repro.sweep import runner as runner_mod
 from repro.units import MiB
+
+from .test_cache import full_payload_key
 
 
 def _spec(simulate=False, workload=None):
@@ -175,6 +179,71 @@ class TestRunSweep:
         a = run_sweep(spec, jobs=1)
         b = run_sweep(spec, jobs=1)
         assert a.comparable() == b.comparable()
+
+
+class _HitEverything:
+    """A cache stand-in that answers every key, so a sweep evaluates
+    nothing and only derives its keys."""
+
+    def get(self, key):
+        return {"nc": None, "elapsed": 0.0}
+
+
+def _paper_grids():
+    """Both paper apps' what-if grids, plain and packetized, as a
+    benchmark sweep runs them (1,176 points)."""
+    from repro.apps.bump_in_the_wire import bitw_pipeline
+
+    blast_axes = [
+        Axis("scale:ungapped_ext", (0.8, 1.25, 1.75, 2.25)),
+        Axis("scale:small_ext", (0.8, 1.4, 2.0)),
+        Axis("scale:network", (0.5, 1.0, 1.5, 2.0)),
+        Axis("source_rate_scale", (0.5, 1.0)),
+        Axis("source_burst_mib", (2.0, 8.0, 16.0, 24.0, 32.0)),
+    ]
+    bitw_axes = [
+        Axis("scenario", ("worst", "avg", "best")),
+        Axis("scale:compress", (0.5, 1.0, 1.5, 2.0)),
+        Axis("scale:encrypt", (0.5, 1.0, 2.0)),
+        Axis("scale:network", (0.5, 1.0, 2.0)),
+    ]
+    return [
+        SweepSpec.from_pipeline(pipe, axes, packetized=packetized)
+        for pipe, axes in ((blast_pipeline(), blast_axes), (bitw_pipeline(), bitw_axes))
+        for packetized in (False, True)
+    ]
+
+
+class TestKeys:
+    """``run_sweep`` renders the model once per sweep; its keys must stay
+    the ones :func:`point_key` derives, which serve and scenarios share."""
+
+    def _assert_keys(self, spec):
+        result = run_sweep(spec, cache=_HitEverything())
+        model, options = dict(spec.base), runner_mod._options_dict(spec)
+        want = [point_key(model, p.params, options) for p in spec.points()]
+        assert [r.key for r in result.results] == want
+        assert want == [full_payload_key(model, p.params, options) for p in spec.points()]
+        assert len(set(want)) == len(want)
+
+    def test_paper_grids(self):
+        specs = _paper_grids()
+        assert sum(s.n_points for s in specs) == 1176
+        for spec in specs:
+            self._assert_keys(spec)
+
+    def test_non_ascii_names_and_infinite_values(self):
+        model = {
+            "name": "Ünïcode – 流水线",
+            "source": {"rate": math.inf, "burst": 1.0},
+            "stages": [{"name": "étape", "avg_rate": math.inf, "min_rate": 1e-300}],
+        }
+        spec = SweepSpec(
+            base=model,
+            axes=(Axis("scale:étape", (0.5, 1.0, 2.0)), Axis("scenario", ("worst", "best"))),
+            workload=1e300,
+        )
+        self._assert_keys(spec)
 
 
 class TestWhatifGrid:

@@ -470,6 +470,18 @@ class TestCliCache:
         with pytest.raises(SystemExit, match="not a cache directory"):
             main(["cache", str(tmp_path / "nope"), "--stats"])
 
+    def test_directory_without_a_store_is_an_error_and_stays_untouched(self, tmp_path):
+        from repro.cli import main
+
+        (tmp_path / "ab").mkdir()  # e.g. a fan-out cache of an older release
+        (tmp_path / "ab" / "abc.json").write_text("{}")
+        for flags in (["--stats"], ["--clear"], ["--max-age", "1"]):
+            with pytest.raises(SystemExit, match="not a cache directory"):
+                main(["cache", str(tmp_path), *flags])
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "ab", "ab/abc.json",
+        ]
+
 
 class TestCliRequest:
     def test_unreachable_server_is_clean_error(self):
