@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="show /stats (counters) instead of /capacity")
     kt.add_argument("--watch", type=float, default=None, metavar="SECONDS",
                     help="poll /stats every SECONDS, printing one health "
-                         "line (epoch, down, restarts, breakers) per tick")
+                         "line (epoch, in-flight, down, restarts, unhealthy "
+                         "shards, journal) per tick")
 
     kq = ksub.add_parser("request", help="issue one request through the router")
     kq.add_argument(
@@ -632,9 +633,10 @@ def _cluster_watch(args: argparse.Namespace) -> tuple[str, int]:
     """``repro cluster status --watch S``: one health line per poll.
 
     Each tick reconnects (a bounced router is the interesting case) and
-    prints ring epoch, down set, restart totals, non-closed breakers,
-    and journal size.  Ctrl-C exits 0 — watching is not a failure, and
-    neither is the downstream end of a pipe closing (`--watch | head`).
+    prints ring epoch, in-flight count, down set, restart totals,
+    shards the supervisor does not report up, and journal size.
+    Ctrl-C exits 0 — watching is not a failure, and neither is the
+    downstream end of a pipe closing (`--watch | head`).
     """
     import time as _time
 
@@ -654,11 +656,6 @@ def _cluster_watch(args: argparse.Namespace) -> tuple[str, int]:
                     for name, doc in (sup.get("shards") or {}).items()
                     if doc["state"] != "up"
                 }
-                breakers = {
-                    name: doc["state"]
-                    for name, doc in (result.get("breakers") or {}).items()
-                    if doc is not None and doc["state"] != "closed"
-                }
                 journal = result.get("journal") or {}
                 line = (
                     f"epoch={result.get('ring_epoch')} "
@@ -666,7 +663,6 @@ def _cluster_watch(args: argparse.Namespace) -> tuple[str, int]:
                     f"down={','.join(down) if down else '-'} "
                     f"restarts={sup.get('restarts_total', 0)} "
                     f"unhealthy={states if states else '-'} "
-                    f"breakers={breakers if breakers else '-'} "
                     f"journal={journal.get('records', 0)}rec"
                 )
             except (ConnectionError, OSError) as exc:

@@ -18,12 +18,13 @@ pool, result cache — sit behind one router that
 3. **fails over on the ring**: a shard that dies mid-request is marked
    down and traffic re-routes to its ring successor
    (:mod:`repro.cluster.router`);
-4. **heals itself**: a supervisor heartbeats every shard, restarts
-   crashed processes with full-jitter backoff, quarantines partitioned
-   ones behind a circuit breaker, and rejoins recovered shards into
-   the ring — bumping a ring epoch and retightening every tenant's
-   live bound to whatever capacity actually survives
-   (:mod:`repro.cluster.supervisor`, :mod:`repro.cluster.breaker`);
+4. **heals itself**: the first failed exchange puts a shard in the
+   router's ``down`` set, which no request contacts; a supervisor
+   heartbeats every shard, restarts crashed processes with full-jitter
+   backoff, quarantines partitioned ones, and rejoins recovered shards
+   into the ring — bumping a ring epoch and retightening every
+   tenant's live bound to whatever capacity actually survives
+   (:mod:`repro.cluster.supervisor`);
 5. **keeps tenant state durable**: registrations append to an NDJSON
    journal replayed on router restart, so a bounce loses no envelope
    (:mod:`repro.cluster.journal`).
@@ -34,7 +35,6 @@ pool, result cache — sit behind one router that
   :mod:`repro.serve.service` shell;
 * :mod:`repro.cluster.shards`       — shard subprocess supervision;
 * :mod:`repro.cluster.supervisor`   — heartbeats, restart, rejoin;
-* :mod:`repro.cluster.breaker`      — per-link circuit breaker;
 * :mod:`repro.cluster.journal`      — durable tenant registrations;
 * :mod:`repro.cluster.orchestrator` — cluster lifecycle (``repro
   cluster start``, the :class:`ClusterThread` test harness);
@@ -43,7 +43,6 @@ pool, result cache — sit behind one router that
   replayed load (kill/partition/heal), floor-assertable reports.
 """
 
-from .breaker import CircuitBreaker
 from .chaos import ChaosReport, FaultEvent, chaos_schedule, run_chaos, tenant_table
 from .journal import TenantJournal
 from .loadgen import ReplayReport, ScheduledRequest, build_schedule, replay
@@ -55,7 +54,6 @@ from .supervisor import ShardSupervisor, SupervisorConfig
 from .tenants import Tenant, TenantRegistry
 
 __all__ = [
-    "CircuitBreaker",
     "ChaosReport",
     "FaultEvent",
     "chaos_schedule",

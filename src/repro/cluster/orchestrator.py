@@ -58,13 +58,10 @@ class ClusterConfig:
     shard_rate: "float | None" = None  # per-shard admission envelope alpha
     shard_burst: "float | None" = None
     slo_s: "float | None" = None  # per-shard delay SLO
-    batch_window_s: float = 0.0
-    max_batch: int = 16
     request_timeout_s: float = 30.0
     drain_timeout_s: float = 10.0
     cache_dir: "str | None" = None  # each shard caches under <dir>/<shard-name>
     calibrate: int = 6
-    vnodes: int = 64
     #: tenants registered before the router accepts: (name, rate, burst, slo_s)
     tenants: "list[tuple[str, float, float, float | None]]" = field(default_factory=list)
     #: durable tenant state; None derives <cache_dir>/tenant-journal.ndjson
@@ -87,8 +84,6 @@ class ClusterConfig:
             slo_s=self.slo_s,
             rate=self.shard_rate,
             burst=self.shard_burst,
-            batch_window_s=self.batch_window_s,
-            max_batch=self.max_batch,
             request_timeout_s=self.request_timeout_s,
             drain_timeout_s=self.drain_timeout_s,
             cache_dir=(
@@ -104,7 +99,6 @@ class ClusterConfig:
             port=self.port,
             forward_timeout_s=self.request_timeout_s + 30.0,
             drain_timeout_s=self.drain_timeout_s,
-            vnodes=self.vnodes,
         )
 
     def supervisor_config(self) -> SupervisorConfig:

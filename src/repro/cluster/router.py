@@ -30,11 +30,11 @@ links:
   tenant's live FIFO-residual bound reflects degraded capacity and the
   router sheds (429 with ``retry_after_s``) rather than over-admitting
   while a shard is down — the paper's ``sum alpha_i <= beta``
-  invariant, enforced across failures.  Each :class:`ShardLink`
-  carries a :class:`~repro.cluster.breaker.CircuitBreaker` that
-  quarantines a flapping shard (open after N consecutive failures,
-  half-open probe, close on success) instead of retrying into a dying
-  process, and tenant registrations are journaled
+  invariant, enforced across failures.  Shard health has one path:
+  the first failed exchange puts a shard in the ``down`` set, no
+  request path (forward or fan-out) contacts a shard in ``down``, and
+  only a supervisor probe or restart takes it out again.  Tenant
+  registrations are journaled
   (:class:`~repro.cluster.journal.TenantJournal`) so the registry
   survives a router bounce.
 
@@ -75,7 +75,6 @@ from ..serve.protocol import (
     ok_response,
 )
 from ..serve.service import NdjsonService
-from .breaker import CircuitBreaker
 from .journal import TenantJournal
 from .ring import HashRing
 from .tenants import TenantRegistry
@@ -91,12 +90,6 @@ class RouterConfig:
     port: int = 0  # 0 = ephemeral
     forward_timeout_s: float = 60.0
     drain_timeout_s: float = 10.0
-    vnodes: int = 64
-    name: str = "router"
-    #: consecutive exchange failures before a shard's breaker opens
-    breaker_failures: int = 3
-    #: seconds a tripped breaker stays open before its half-open probe
-    breaker_reset_s: float = 2.0
 
 
 class ShardDown(ConnectionError):
@@ -106,12 +99,11 @@ class ShardDown(ConnectionError):
 class ShardLink:
     """A small connection pool from the router to one shard.
 
-    Every exchange is bounded by ``timeout_s`` (a hung-but-accepting
-    shard must not wedge the router's request path) and gated by an
-    optional circuit breaker (a flapping shard is refused outright
-    while its breaker is open).  Both failure modes surface as
-    :class:`ShardDown`, so the router's existing failover walk — mark
-    down, try the ring successor — handles them uniformly.
+    Every exchange is bounded by ``timeout_s``: a hung-but-accepting
+    shard must not wedge the router's request path.  A timeout surfaces
+    as :class:`ShardDown`, like a refused, reset or half-answered
+    exchange, so the router's failover walk (mark down, try the ring
+    successor) handles them all alike.
 
     ``partitioned`` is the deterministic fault-injection hook used by
     :mod:`repro.cluster.chaos`: while set, the link behaves exactly
@@ -125,43 +117,25 @@ class ShardLink:
         host: str,
         port: int,
         *,
-        timeout_s: "float | None" = None,
-        breaker: "CircuitBreaker | None" = None,
+        timeout_s: float,
     ) -> None:
         self.name = name
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self.breaker = breaker
         self.partitioned = False
         self._free: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
     async def exchange(self, frame: bytes) -> dict[str, Any]:
         """One request line out, one response line back, over a pooled conn."""
         if self.partitioned:
-            if self.breaker is not None:
-                self.breaker.record_failure()
             raise ShardDown(f"shard {self.name!r} unreachable (link partitioned)")
-        if self.breaker is not None and not self.breaker.allow():
-            raise ShardDown(f"shard {self.name!r} circuit breaker is open")
         try:
-            if self.timeout_s is not None:
-                doc = await asyncio.wait_for(self._exchange(frame), self.timeout_s)
-            else:
-                doc = await self._exchange(frame)
+            return await asyncio.wait_for(self._exchange(frame), self.timeout_s)
         except asyncio.TimeoutError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
             raise ShardDown(
                 f"shard {self.name!r} did not answer within {self.timeout_s} s"
             ) from None
-        except ShardDown:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            self.breaker.record_success()
-        return doc
 
     async def _exchange(self, frame: bytes) -> dict[str, Any]:
         if self._free:
@@ -229,7 +203,7 @@ class ClusterRouter(NdjsonService):
         self.links = {
             name: self._make_link(name, host, port) for name, host, port in shards
         }
-        self.ring = HashRing(self.links, vnodes=self.config.vnodes)
+        self.ring = HashRing(self.links)
         self.registry = registry if registry is not None else TenantRegistry()
         self.journal = journal
         self.down: set[str] = set()
@@ -306,9 +280,17 @@ class ClusterRouter(NdjsonService):
         return self.beta
 
     async def _fan_out(self, op: str) -> dict[str, Any]:
-        """Send one introspection op to every live shard concurrently."""
+        """Send one introspection op to every live shard concurrently.
+
+        Every shard gets an entry; a failed one answers ``None``.  A
+        shard that is in ``down`` when its ask starts (also one that a
+        concurrent request put there after the gather began) answers
+        ``None`` without being contacted.
+        """
 
         async def ask(name: str) -> tuple[str, Any]:
+            if name in self.down:
+                return name, None
             frame = encode({"v": PROTOCOL_VERSION, "id": f"router-{op}", "op": op})
             try:
                 return name, await self.links[name].exchange(frame)
@@ -316,23 +298,14 @@ class ClusterRouter(NdjsonService):
                 self._mark_down(name)
                 return name, None
 
-        live = [name for name in self.links if name not in self.down]
-        results = await asyncio.gather(*(ask(name) for name in live))
-        return dict(results)
+        return dict(await asyncio.gather(*(ask(name) for name in self.links)))
 
     # ------------------------------------------------------------------ #
     # membership: mark down, rejoin, retighten
     # ------------------------------------------------------------------ #
 
     def _make_link(self, name: str, host: str, port: int) -> ShardLink:
-        return ShardLink(
-            name, host, port,
-            timeout_s=self.config.forward_timeout_s,
-            breaker=CircuitBreaker(
-                failure_threshold=self.config.breaker_failures,
-                reset_timeout_s=self.config.breaker_reset_s,
-            ),
-        )
+        return ShardLink(name, host, port, timeout_s=self.config.forward_timeout_s)
 
     def _mark_down(self, name: str) -> None:
         if name not in self.down:
@@ -364,11 +337,11 @@ class ClusterRouter(NdjsonService):
 
         Called by the supervisor once a restarted (or heal-probed)
         shard answers pings again.  Same endpoint → the existing link
-        is kept (its breaker force-closed); a new endpoint (the restart
-        path: replacement processes bind ephemeral ports) → the old
-        link is closed and replaced.  Either way the shard leaves the
-        down set, the ring epoch bumps, and beta is recomputed so
-        tenant bounds retighten to the restored capacity.
+        is kept; a new endpoint (the restart path: replacement processes
+        bind ephemeral ports) → the old link is closed and replaced.
+        Either way the shard leaves the down set, the ring epoch bumps,
+        and beta is recomputed so tenant bounds retighten to the
+        restored capacity.
         """
         if name not in self.links:
             raise ValueError(f"unknown shard {name!r}")
@@ -376,8 +349,6 @@ class ClusterRouter(NdjsonService):
         if (link.host, link.port) != (host, port):
             await link.aclose()
             self.links[name] = self._make_link(name, host, port)
-        elif link.breaker is not None:
-            link.breaker.reset()
         self.down.discard(name)
         self.ring_epoch += 1
         self.metrics.counter("cluster.shards_rejoined").inc()
@@ -457,8 +428,6 @@ class ClusterRouter(NdjsonService):
             name: (doc.get("result") if isinstance(doc, dict) else None)
             for name, doc in reports.items()
         }
-        for name in self.down:
-            shards.setdefault(name, None)
         return ok_response(req.id, {
             "role": "router",
             "cluster_service_curve": self.beta_info,
@@ -473,8 +442,6 @@ class ClusterRouter(NdjsonService):
             name: (doc.get("result") if isinstance(doc, dict) else None)
             for name, doc in reports.items()
         }
-        for name in self.down:
-            shards.setdefault(name, None)
         return ok_response(req.id, {
             "role": "router",
             "router": self.metrics.snapshot(),
@@ -482,10 +449,6 @@ class ClusterRouter(NdjsonService):
             "down": sorted(self.down),
             "inflight": self.inflight,
             "ring_epoch": self.ring_epoch,
-            "breakers": {
-                name: (link.breaker.snapshot() if link.breaker is not None else None)
-                for name, link in self.links.items()
-            },
             "supervisor": (
                 self.supervisor.snapshot() if self.supervisor is not None else None
             ),

@@ -1,9 +1,8 @@
 """Shard supervision: heartbeats, restart with jittered backoff, rejoin.
 
-PR 6's cluster scaled out but could not heal: shard membership was
-fixed at start, a crashed shard stayed down forever, and the rolled-up
-beta silently kept its pre-crash value.  The supervisor closes the
-loop:
+Without supervision shard membership is fixed at start: a crashed
+shard stays down forever and the router's ``down`` set only ever
+grows.  The supervisor closes the loop:
 
 1. **Detect** — every ``heartbeat_interval_s`` each shard is checked
    two ways: process liveness (``is_alive``) and a lightweight ping
@@ -17,14 +16,15 @@ loop:
    the AWS-style decorrelation that stops a fleet of supervisors from
    thundering in lockstep); the RNG is injected so chaos runs are
    deterministic.  An alive-but-unreachable shard is *quarantined*
-   instead (marked down, breaker holds traffic off it) and rejoined
-   the moment probes succeed again — restarting a healthy process
-   cannot heal a partition.
+   instead (put in the router's ``down`` set, which no request path
+   contacts) and rejoined the moment probes succeed again — restarting
+   a healthy process cannot heal a partition.
 3. **Rejoin** — a recovered shard re-enters through
    :meth:`~repro.cluster.router.ClusterRouter.rejoin_shard`: ring
-   epoch bump, down-set removal, breaker reset, and a beta refresh
-   that retightens every tenant's live bound back to restored
-   capacity.
+   epoch bump, down-set removal, and a beta refresh that retightens
+   every tenant's live bound back to restored capacity.  This is the
+   only way out of ``down``: the router itself never retries a shard
+   it has marked down.
 
 The supervisor is an asyncio task on the router's loop; blocking work
 (process spawn + port handshake) runs in the default executor so
@@ -52,6 +52,14 @@ QUARANTINED = "quarantined"
 RESTARTING = "restarting"
 FAILED = "failed"
 
+#: consecutive failed probes before an *alive* shard is quarantined
+PROBE_FAILURES = 2
+#: restart attempts per incident before the shard is declared failed
+MAX_RESTART_ATTEMPTS = 8
+#: full-jitter backoff: attempt k waits U(0, min(cap, base * 2^k)) seconds
+BACKOFF_BASE_S = 0.25
+BACKOFF_CAP_S = 8.0
+
 
 @dataclass
 class SupervisorConfig:
@@ -59,12 +67,6 @@ class SupervisorConfig:
 
     heartbeat_interval_s: float = 2.0
     probe_timeout_s: float = 1.0
-    #: consecutive failed probes before an *alive* shard is quarantined
-    probe_failures: int = 2
-    #: restart attempts per incident before the shard is declared failed
-    max_restart_attempts: int = 8
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 8.0
 
 
 class ShardSupervisor:
@@ -147,11 +149,11 @@ class ShardSupervisor:
             self.states[name] = UP
             return
         self._probe_misses[name] += 1
-        if self._probe_misses[name] >= self.config.probe_failures:
+        if self._probe_misses[name] >= PROBE_FAILURES:
             # alive but unreachable or hung: quarantine, don't kill —
-            # a restart cannot heal a partition, and the breaker plus
-            # the down set already hold traffic off it; probes continue
-            # and a later success rejoins it
+            # a restart cannot heal a partition, and the down set
+            # already holds traffic off it; probes continue and a
+            # later success rejoins it
             if self.states[name] != QUARANTINED:
                 self.states[name] = QUARANTINED
                 self._detected_down_at[name] = time.monotonic()
@@ -191,10 +193,7 @@ class ShardSupervisor:
 
     def backoff_delay(self, attempt: int) -> float:
         """Exponential backoff with full jitter: ``U(0, min(cap, b*2^k))``."""
-        cap = min(
-            self.config.backoff_cap_s,
-            self.config.backoff_base_s * (2.0 ** attempt),
-        )
+        cap = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2.0 ** attempt))
         return self._rng.uniform(0.0, cap)
 
     def _begin_restart(self, name: str) -> None:
@@ -208,7 +207,7 @@ class ShardSupervisor:
     async def _restart(self, name: str) -> None:
         shard = self.shards[name]
         loop = asyncio.get_running_loop()
-        for attempt in range(self.config.max_restart_attempts):
+        for attempt in range(MAX_RESTART_ATTEMPTS):
             await asyncio.sleep(self.backoff_delay(attempt))
             try:
                 host, port = await loop.run_in_executor(None, shard.restart)

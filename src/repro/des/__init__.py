@@ -1,12 +1,14 @@
 """Discrete-event simulation substrate.
 
 A from-scratch, SimPy-style process-interaction kernel
-(:mod:`repro.des.core`, :mod:`repro.des.events`) plus the
-streaming-pipeline simulator the paper uses as its validation baseline
-(:mod:`repro.des.pipeline_sim`, solved as a max-plus recurrence by
-:mod:`repro.des.recurrence` when nothing needs the event loop).  The
-simulator's inter-stage queues are its own byte-counted
-:class:`ByteQueue`; the kernel has no generic stores or resources.
+(:mod:`repro.des.core`) plus the streaming-pipeline simulator the
+paper uses as its validation baseline (:mod:`repro.des.pipeline_sim`,
+solved as a max-plus recurrence by :mod:`repro.des.recurrence` when
+nothing needs the event loop).  The simulator's inter-stage queues
+are its own byte-counted :class:`ByteQueue`.  The kernel keeps only
+what that simulator runs: events, timeouts, processes and failure
+propagation, with no composite events, interrupts or generic stores
+and resources.
 
 Quick start::
 
@@ -22,15 +24,7 @@ Quick start::
     env.run(until=3.5)
 """
 
-from .core import (
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .events import AllOf, AnyOf, Condition
+from .core import Environment, Event, Process, SimulationError, Timeout
 from .distributions import (
     bounded_pareto,
     constant,
@@ -46,13 +40,9 @@ from .report import SimulationReport, StageStats
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "bounded_pareto",
     "constant",
     "exponential",

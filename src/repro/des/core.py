@@ -12,28 +12,28 @@ process-interaction model from scratch:
 
 Semantics follow SimPy's core closely (trigger-then-process two-phase
 event handling, deterministic FIFO ordering for simultaneous events,
-interrupts, failure propagation), so models written against this kernel
-read like SimPy models.
+failure propagation), so models written against this kernel read like
+SimPy models.  It holds only what the pipeline simulator runs: there
+are no composite (any-of / all-of) events, no interrupts, and ``run``
+stops at a time, not at an event.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Environment",
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
-    "StopSimulation",
 ]
 
-#: Scheduling priorities: URGENT events (process resumptions after
-#: resource operations) run before NORMAL events at the same timestamp.
+#: Scheduling priorities: URGENT events (process starts) run before
+#: NORMAL events at the same timestamp.
 URGENT = 0
 NORMAL = 1
 
@@ -42,21 +42,6 @@ _PENDING = object()
 
 class SimulationError(RuntimeError):
     """An error raised by the simulation machinery itself."""
-
-
-class StopSimulation(Exception):
-    """Raised internally to end :meth:`Environment.run` early."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupting cause is available as ``exc.cause``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -121,26 +106,6 @@ class Event:
         self.env._schedule(self, NORMAL, 0.0)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another (already triggered) event's outcome."""
-        if not event.triggered:
-            raise SimulationError("cannot mirror an untriggered event")
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self, NORMAL, 0.0)
-
-    # -- composition ----------------------------------------------------- #
-
-    def __and__(self, other: "Event") -> "Event":
-        from .events import AllOf
-
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Event":
-        from .events import AnyOf
-
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
@@ -184,7 +149,6 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         Initialize(env, self)
 
     @property
@@ -192,86 +156,44 @@ class Process(Event):
         """True while the underlying generator has not exited."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError("cannot interrupt a terminated process")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env._schedule(interrupt_event, URGENT, 0.0)
-
     # -- generator driving ------------------------------------------------ #
 
     def _resume(self, event: Event) -> None:
-        # a stale wake-up (e.g. interrupt raced with the awaited event)
-        if self.triggered:
-            return
-        # detach from the event we were waiting on
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
-
-        self.env._active = self
-        try:
-            while True:
-                try:
-                    if event is None or event._ok:
-                        nxt = self._generator.send(None if event is None else event._value)
-                    else:
-                        event._defused = True
-                        nxt = self._generator.throw(event._value)
-                except StopIteration as stop:
-                    self._ok = True
-                    self._value = stop.value
-                    self.env._schedule(self, NORMAL, 0.0)
-                    return
-                except BaseException as exc:
-                    self._ok = False
-                    self._value = exc
-                    self._defused = False
-                    self.env._schedule(self, NORMAL, 0.0)
-                    return
-
-                if not isinstance(nxt, Event):
-                    exc = SimulationError(f"process yielded a non-event: {nxt!r}")
-                    try:
-                        self._generator.throw(exc)
-                    except StopIteration as stop:
-                        self._ok = True
-                        self._value = stop.value
-                        self.env._schedule(self, NORMAL, 0.0)
-                        return
-                    except BaseException as e2:
-                        self._ok = False
-                        self._value = e2
-                        self._defused = False
-                        self.env._schedule(self, NORMAL, 0.0)
-                        return
-                    continue
-                if nxt.env is not self.env:
-                    raise SimulationError("event belongs to a different Environment")
-
-                if nxt.processed:
-                    # already done: continue immediately with its outcome
-                    event = nxt
-                    continue
-                self._target = nxt
-                if nxt.callbacks is None:
-                    raise SimulationError("waiting on a processed event")
-                nxt.callbacks.append(self._resume)
+        while True:
+            try:
+                if event._ok:
+                    nxt = self._generator.send(event._value)
+                else:
+                    event._defused = True
+                    nxt = self._generator.throw(event._value)
+            except StopIteration as stop:
+                self._exit(True, stop.value)
                 return
-        finally:
-            self.env._active = None
+            except BaseException as exc:
+                self._exit(False, exc)
+                return
+
+            if not isinstance(nxt, Event):
+                # answer a bad yield the way a failed event would
+                event = Event(self.env)
+                event._ok = False
+                event._value = SimulationError(f"process yielded a non-event: {nxt!r}")
+                continue
+            if nxt.env is not self.env:
+                raise SimulationError("event belongs to a different Environment")
+            if nxt.callbacks is None:
+                # already processed: continue immediately with its outcome
+                event = nxt
+                continue
+            nxt.callbacks.append(self._resume)
+            return
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        """The generator returned (``ok``) or raised: fire the process."""
+        self._ok = ok
+        self._value = value
+        self._defused = False
+        self.env._schedule(self, NORMAL, 0.0)
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", repr(self._generator))
@@ -292,18 +214,12 @@ class Environment:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active: Optional[Process] = None
         self._tracer = tracer
 
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active
 
     # -- event factories --------------------------------------------------- #
 
@@ -318,18 +234,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting now."""
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Event that fires when any of ``events`` has fired."""
-        from .events import AnyOf
-
-        return AnyOf(self, list(events))
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Event that fires when all of ``events`` have fired."""
-        from .events import AllOf
-
-        return AllOf(self, list(events))
 
     # -- scheduling --------------------------------------------------------- #
 
@@ -357,41 +261,19 @@ class Environment:
             # a failure nobody waited on must not pass silently
             raise event._value
 
-    def run(self, until: "float | Event | None" = None) -> Any:
-        """Run until the heap drains, a time is reached, or an event fires.
+    def run(self, until: "float | None" = None) -> None:
+        """Run until the heap drains or the clock reaches ``until``.
 
-        ``until`` may be ``None`` (drain), a number (absolute simulation
-        time), or an :class:`Event` (whose value is then returned).
+        ``until`` is an absolute simulation time; the clock ends there
+        even when the last event came earlier.  A failed event that no
+        process waited on is raised out of ``run``.
         """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is not None:
-                stop_event.callbacks.append(self._stop_callback)
-            elif stop_event.triggered:
-                return stop_event.value
-        elif until is not None:
+        stop_time = math.inf
+        if until is not None:
             stop_time = float(until)
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} lies in the past (now={self._now})")
-
-        try:
-            while self._heap and self.peek() <= stop_time:
-                self.step()
-        except StopSimulation as stop:
-            return stop.args[0] if stop.args else None
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError("run() ran out of events before `until` fired")
-            return stop_event.value
-        if not math.isinf(stop_time) and self._now < stop_time:
+        while self._heap and self.peek() <= stop_time:
+            self.step()
+        if self._now < stop_time < math.inf:
             self._now = stop_time
-        return None
-
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        if event._ok:
-            raise StopSimulation(event._value)
-        event._defused = True
-        raise event._value

@@ -255,9 +255,12 @@ def _vdev_rl(f: Curve, rate: float, latency: float) -> float:
 
 def _fast_convolve(f: Curve, g: Curve) -> Curve | None:
     rf, rg = _rl_params(f), _rl_params(g)
-    if rf is not None and rg is not None:
+    if rf is not None and rg is not None and min(rf[0], rg[0]) > 0.0:
         # (R1,T1) (*) (R2,T2) = (min(R1,R2), T1+T2); breakpoint and rate
         # arise in the generic envelope as the same float expressions.
+        # Against the zero curve (rate 0) the result is the zero curve,
+        # one piece, which the scans below produce: (0, T1+T2) would
+        # keep a second, collinear piece at T1+T2.
         return _make_rate_latency(min(rf[0], rg[0]), rf[1] + rg[1])
     jf, jg = _jump_line_params(f), _jump_line_params(g)
     if jf is not None and jg is not None:

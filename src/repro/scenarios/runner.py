@@ -1,12 +1,12 @@
 """Scenario execution: the model-vs-DES-vs-closed-form cross-check loop.
 
-Each scenario evaluates through the *sweep engine's* pure point
-evaluator (:func:`repro.sweep.evaluate_point`) — a scenario is exactly
-a one-point sweep, so it inherits, unchanged: the content-addressed
+Each scenario evaluates through the *sweep engine's* point loop
+(:func:`repro.sweep.runner.evaluate_points`) — a scenario is exactly a
+one-point sweep, so it inherits, unchanged: the content-addressed
 result cache (same :func:`~repro.sweep.cache.point_key` addressing),
-the per-point SHA-256 seed derivation, the process pool, the batched
-curve evaluation of the conformance replay
-(:func:`repro.nc.kernel.eval_batch`), and the graceful serial
+the per-point SHA-256 seed derivation, the process pool with its
+worker-death rule, the batched curve evaluation of the conformance
+replay (:func:`repro.nc.kernel.eval_batch`), and the graceful serial
 fallback.  Warm catalog runs are therefore pure cache reads.
 
 On top of that this module adds the *judge*: every
@@ -28,7 +28,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..nc.tolerance import EPS, close
 from ..queueing import MM1, TandemQueueingModel, mg1_from_uniform_service
-from ..sweep import ResultCache, evaluate_point, point_key, point_seed
+from ..sweep import ResultCache, point_key, point_seed
+from ..sweep.runner import evaluate_points
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -228,15 +229,7 @@ def evaluate_scenario(
     spec: ScenarioSpec, *, cache: ResultCache | None = None
 ) -> ScenarioResult:
     """Evaluate and judge one scenario (serial, cache-aware)."""
-    model, params, options = scenario_payload(spec)
-    key = point_key(model, params, options)
-    hit = cache.get(key) if cache is not None else None
-    if hit is not None:
-        return judge_scenario(spec, hit, key=key, cached=True)
-    out = evaluate_point(model, params, options, point_seed(spec.seed, params))
-    if cache is not None and "error" not in out:
-        cache.put(key, out)
-    return judge_scenario(spec, out, key=key, cached=False)
+    return run_catalog([spec], cache=cache).results[0]
 
 
 @dataclass
@@ -302,10 +295,11 @@ def run_catalog(
 ) -> CatalogResult:
     """Evaluate and judge a list of scenarios.
 
-    ``jobs > 1`` evaluates cache misses on a process pool (the same
-    arrangement as sweep runs); any pool failure degrades to serial
-    evaluation of the remaining scenarios.  Results keep the input
-    order.
+    ``jobs > 1`` evaluates cache misses on the sweep runner's process
+    pool, with its degradation ladder: a pool that cannot start leaves
+    everything to serial evaluation, and a worker that dies marks the
+    scenario it was running failed instead of rerunning it in-process.
+    Results keep the input order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -315,83 +309,21 @@ def run_catalog(
         raise ValueError(f"duplicate scenario names: {dupes}")
     t0 = time.perf_counter()
 
-    payloads = [scenario_payload(s) for s in specs]
-    keys = [point_key(*p) for p in payloads]
-    seeds = [point_seed(s.seed, p[1]) for s, p in zip(specs, payloads)]
+    triples = [scenario_payload(s) for s in specs]
+    keys = [point_key(*t) for t in triples]
+    outs, cached, mode = evaluate_points(
+        [(*t, point_seed(s.seed, t[1])) for s, t in zip(specs, triples)],
+        keys, jobs=jobs, cache=cache,
+    )
 
-    raw: dict[int, Mapping[str, Any]] = {}
-    cached: dict[int, bool] = {}
-    pending: list[int] = []
-    for i, key in enumerate(keys):
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            raw[i] = hit
-            cached[i] = True
-        else:
-            pending.append(i)
-            cached[i] = False
-
-    mode = "serial"
-    if pending and jobs > 1:
-        mode = _run_parallel(raw, pending, payloads, seeds, jobs)
-    for i in pending:
-        if i not in raw:
-            model, params, options = payloads[i]
-            raw[i] = evaluate_point(model, params, options, seeds[i])
-
-    out = CatalogResult(mode=mode, jobs=jobs)
-    for i, (spec, key) in enumerate(zip(specs, keys)):
-        if cached[i]:
-            out.cache_hits += 1
-        else:
-            out.cache_misses += 1
-            if cache is not None and "error" not in raw[i]:
-                cache.put(key, raw[i])
-        result = judge_scenario(spec, raw[i], key=key, cached=cached[i])
+    out = CatalogResult(
+        mode=mode, jobs=jobs,
+        cache_hits=sum(cached), cache_misses=len(cached) - sum(cached),
+    )
+    for spec, key, raw, hit in zip(specs, keys, outs, cached):
+        result = judge_scenario(spec, raw, key=key, cached=hit)
         out.results.append(result)
         if progress is not None:
             progress(result)
     out.elapsed = time.perf_counter() - t0
     return out
-
-
-def _run_parallel(
-    raw: dict[int, Mapping[str, Any]],
-    pending: Sequence[int],
-    payloads: Sequence[tuple[dict[str, Any], dict[str, Any], dict[str, Any]]],
-    seeds: Sequence[int],
-    jobs: int,
-) -> str:
-    """Fill ``raw`` for ``pending`` indices on a worker pool.
-
-    Mirrors the sweep runner's degradation ladder: pool-creation or
-    submission failure leaves everything to the caller's serial
-    fill-in; a per-future failure leaves just that scenario.  Either
-    way the run completes and the mode records what happened.
-    """
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-    except Exception:
-        return "parallel-degraded"
-    mode = "parallel"
-    try:
-        try:
-            futures = {
-                i: executor.submit(
-                    evaluate_point, payloads[i][0], payloads[i][1],
-                    payloads[i][2], seeds[i],
-                )
-                for i in pending
-            }
-        except Exception:
-            return "parallel-degraded"
-        for i in pending:
-            try:
-                raw[i] = futures[i].result()
-            except Exception:
-                mode = "parallel-degraded"
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    return mode

@@ -28,6 +28,10 @@ point is evaluated serially in-process.  The casualty is deliberately
 *not* retried in-process: a point that killed a worker could kill the
 sweep.  Either way the run completes and the manifest records mode
 ``parallel-degraded``.
+
+:func:`evaluate_points` is that loop — cache lookup, pool, serial
+fill-in, store — for any list of points; the scenario catalog
+(:func:`repro.scenarios.run_catalog`) runs on it too.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "SweepResult",
     "point_seed",
     "evaluate_point",
+    "evaluate_points",
     "run_sweep",
 ]
 
@@ -188,22 +193,62 @@ def evaluate_point(
         return {"error": f"{type(exc).__name__}: {exc}", "elapsed": time.perf_counter() - t0}
 
 
-def _evaluate_payload(payload: tuple[Mapping[str, Any], Mapping[str, Any], Mapping[str, Any], int]) -> dict[str, Any]:
+#: one point's evaluation inputs: ``(model, params, options, seed)``
+Payload = tuple[Mapping[str, Any], Mapping[str, Any], Mapping[str, Any], int]
+
+
+def _evaluate_payload(payload: Payload) -> dict[str, Any]:
     """Pool entry point (module-level so it pickles)."""
     model, params, options, seed = payload
     return evaluate_point(model, params, options, seed)
 
 
+def evaluate_points(
+    payloads: Sequence[Payload],
+    keys: Sequence[str],
+    *,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+) -> tuple[list[dict[str, Any]], list[bool], str]:
+    """Answer every point: cache lookup, pool, serial fill-in, store.
+
+    ``keys[i]`` is the cache key of ``payloads[i]``.  Every lookup
+    happens before any evaluation and every store after the last one;
+    failed points are not stored.  ``jobs > 1`` evaluates the misses on
+    a process pool (see :func:`_run_parallel` for its failure tiers).
+    Returns the outputs and the cached flags, both in input order, and
+    the mode (``serial``, ``parallel`` or ``parallel-degraded``).
+    """
+    raw: dict[int, dict[str, Any]] = {}
+    cached: list[bool] = []
+    for i, key in enumerate(keys):
+        hit = cache.get(key) if cache is not None else None
+        cached.append(hit is not None)
+        if hit is not None:
+            raw[i] = hit
+    pending = [i for i, hit in enumerate(cached) if not hit]
+
+    mode = "serial"
+    if pending and jobs > 1:
+        mode = _run_parallel(raw, pending, payloads, jobs)
+    for i in pending:
+        if i not in raw:
+            raw[i] = evaluate_point(*payloads[i])
+
+    if cache is not None:
+        for i in pending:
+            if "error" not in raw[i]:
+                cache.put(keys[i], raw[i])
+    return [raw[i] for i in range(len(keys))], cached, mode
+
+
 def _run_parallel(
     raw: dict[int, dict[str, Any]],
     pending: Sequence[int],
-    points: Sequence[SweepPoint],
-    model: Mapping[str, Any],
-    options: Mapping[str, Any],
-    seeds: Sequence[int],
+    payloads: Sequence[Payload],
     jobs: int,
 ) -> str:
-    """Evaluate ``pending`` points on a process pool, filling ``raw``.
+    """Evaluate ``pending`` payloads on a process pool, filling ``raw``.
 
     Returns the resulting mode string.  Three failure tiers:
 
@@ -228,12 +273,7 @@ def _run_parallel(
     mode = "parallel"
     try:
         try:
-            futures = {
-                i: executor.submit(
-                    _evaluate_payload, (model, points[i].params, options, seeds[i])
-                )
-                for i in pending
-            }
+            futures = {i: executor.submit(_evaluate_payload, payloads[i]) for i in pending}
         except Exception:  # submission failure: nothing parallel ran
             return "parallel-degraded"
         worker_died = False
@@ -391,43 +431,19 @@ def run_sweep(
     seeds = [point_seed(spec.base_seed, p.params) for p in points]
     key_of = point_keyer(model, options)
     keys = [key_of(p.params) for p in points]
-
-    raw: dict[int, dict[str, Any]] = {}
-    cached_flags: dict[int, bool] = {}
-    pending: list[int] = []
-    for p, key in zip(points, keys):
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            raw[p.index] = hit
-            cached_flags[p.index] = True
-        else:
-            pending.append(p.index)
-            cached_flags[p.index] = False
-
-    mode = "serial"
-    if pending and jobs > 1:
-        mode = _run_parallel(raw, pending, points, model, options, seeds, jobs)
-    for i in pending:
-        if i not in raw:
-            raw[i] = evaluate_point(model, points[i].params, options, seeds[i])
+    outs, cached, mode = evaluate_points(
+        [(model, p.params, options, seed) for p, seed in zip(points, seeds)],
+        keys, jobs=jobs, cache=cache,
+    )
 
     results: list[PointResult] = []
-    hits = misses = 0
-    for p, seed, key in zip(points, seeds, keys):
-        out = raw[p.index]
-        cached = cached_flags[p.index]
-        if cached:
-            hits += 1
-        else:
-            misses += 1
-            if cache is not None and "error" not in out:
-                cache.put(key, out)
+    for p, seed, key, out, hit in zip(points, seeds, keys, outs, cached):
         result = PointResult(
             index=p.index,
             params=dict(p.params),
             seed=seed,
             key=key,
-            cached=cached,
+            cached=hit,
             elapsed=float(out.get("elapsed", 0.0)),
             nc=out.get("nc"),
             des=out.get("des"),
@@ -445,7 +461,7 @@ def run_sweep(
         jobs=jobs,
         mode=mode,
         elapsed=time.perf_counter() - t0,
-        cache_hits=hits,
-        cache_misses=misses,
+        cache_hits=sum(cached),
+        cache_misses=len(cached) - sum(cached),
         results=results,
     )

@@ -4,17 +4,28 @@ Mirrors the ``tests/serve`` harness style: a module-scoped cluster
 (two spawned shard processes behind a router thread) serves the happy
 paths; failure injection (SIGKILL mid-life, the cluster analogue of
 the sweep runner's BrokenProcessPool test) gets its own cluster so the
-shared one stays healthy.
+shared one stays healthy.  The down-set invariant is checked against
+in-process fake shards, one of which hangs up mid-exchange.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
+
 import pytest
 
 from repro.apps.blast import blast_pipeline
-from repro.cluster import ClusterConfig, ClusterThread, build_schedule, replay
+from repro.cluster import (
+    ClusterConfig,
+    ClusterRouter,
+    ClusterThread,
+    RouterConfig,
+    build_schedule,
+    replay,
+)
 from repro.serve.client import ServeClient
-from repro.serve.protocol import evaluation_options
+from repro.serve.protocol import encode, evaluation_options, ok_response
 from repro.streaming import pipeline_to_dict
 from repro.sweep.cache import point_key
 
@@ -235,3 +246,164 @@ class TestFailover:
         # surviving shard exited losslessly; the victim died by design
         assert summary["clean"] is True
         assert summary["shard_exit_codes"][survivor.name] == 0
+
+
+# --------------------------------------------------------------------- #
+# the down set: a shard in it is never contacted
+# --------------------------------------------------------------------- #
+
+
+class _FakeShard:
+    """An NDJSON endpoint on the test's event loop.
+
+    Every frame is logged by op.  An op in ``hang_up`` is read and then
+    the connection is closed without an answer (a shard that accepts
+    and dies mid-exchange); any other op gets a canned ``ok`` answer,
+    so the router's beta rollup and fan-outs see a healthy shard.
+    """
+
+    CAPACITY = {"service_curve": {"service_rate_rps": 100.0, "dispatch_latency_s": 0.001}}
+
+    def __init__(self, hang_up: "frozenset[str]" = frozenset()) -> None:
+        self.hang_up = hang_up
+        self.frames: list[str] = []
+        self.host = "127.0.0.1"
+        self.port = 0
+        self._server: "asyncio.base_events.Server | None" = None
+
+    async def start(self) -> "_FakeShard":
+        self._server = await asyncio.start_server(self._on_connection, self.host, 0)
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    async def _on_connection(self, reader, writer) -> None:
+        try:
+            while line := await reader.readline():
+                doc = json.loads(line)
+                self.frames.append(doc["op"])
+                if doc["op"] in self.hang_up:
+                    break
+                result = self.CAPACITY if doc["op"] == "capacity" else {"fake": True}
+                writer.write(encode(ok_response(doc.get("id"), result)))
+                await writer.drain()
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
+    def close(self) -> None:
+        assert self._server is not None
+        self._server.close()
+
+
+def _routed_to(router: ClusterRouter, model: dict, shard: str) -> dict:
+    """Params of an analyze request whose ring owner is ``shard``."""
+    for i in range(64):
+        params = {"scale:network": 1.0 + i / 8}
+        if router.ring.route(_digest(model, params)) == shard:
+            return params
+    raise AssertionError(f"no probe point routes to {shard}")
+
+
+async def _call(router: ClusterRouter, doc: dict) -> dict:
+    """One request over a fresh client connection to the router."""
+    reader, writer = await asyncio.open_connection(router.host, router.port, limit=1 << 22)
+    try:
+        writer.write(encode(doc))
+        await writer.drain()
+        return json.loads(await reader.readline())
+    finally:
+        writer.close()
+
+
+class TestDownSet:
+    ROUNDS = 3
+    FORWARDS = 40
+
+    def test_a_down_shard_is_never_contacted_until_it_rejoins(self, model):
+        async def scenario() -> None:
+            good = await _FakeShard().start()
+            bad = await _FakeShard(hang_up=frozenset({"analyze"})).start()
+            router = ClusterRouter(
+                [("good", good.host, good.port), ("bad", bad.host, bad.port)],
+                RouterConfig(forward_timeout_s=10.0),
+            )
+            await router.start()
+            link = router.links["bad"]
+            # router side: every exchange with the bad shard starts while
+            # it is out of the down set
+            contacted_while_down = []
+            exchange = link.exchange
+
+            async def spy(frame: bytes) -> dict:
+                contacted_while_down.append("bad" in router.down)
+                return await exchange(frame)
+
+            link.exchange = spy
+            params = _routed_to(router, model, "bad")
+            failover = router.metrics.counter("cluster.failover")
+            try:
+                for rnd in range(self.ROUNDS):
+                    if rnd:
+                        await router.rejoin_shard("bad", bad.host, bad.port)
+                    assert router.links["bad"] is link  # same endpoint: same link
+                    assert "bad" not in router.down
+                    hung_before = bad.frames.count("analyze")
+                    failover_before = failover.value
+                    answers = await asyncio.gather(*(
+                        _call(router, {"v": 1, "id": i, "op": "analyze",
+                                       "model": model, "params": params})
+                        for i in range(self.FORWARDS)
+                    ))
+                    # every forward is answered, by the ring successor
+                    assert all(a["ok"] for a in answers), answers
+                    assert {a["result"]["shard"] for a in answers} == {"good"}
+                    # the first forwards after the rejoin reached the bad
+                    # shard; each hang-up cost exactly one failover hop
+                    hung = bad.frames.count("analyze") - hung_before
+                    assert 1 <= hung <= self.FORWARDS
+                    assert sum(bool(a["result"].get("failover")) for a in answers) == hung
+                    assert failover.value - failover_before == hung
+                    assert "bad" in router.down
+
+                    # while down: neither forwards nor fan-outs contact it
+                    seen = len(bad.frames)
+                    for op in ("stats", "capacity", "tenants"):
+                        assert (await _call(router, {"v": 1, "op": op}))["ok"]
+                    again = await asyncio.gather(*(
+                        _call(router, {"v": 1, "id": i, "op": "analyze",
+                                       "model": model, "params": params})
+                        for i in range(self.FORWARDS)
+                    ))
+                    assert all(a["ok"] and "failover" not in a["result"] for a in again)
+                    assert len(bad.frames) == seen
+                assert contacted_while_down and not any(contacted_while_down)
+            finally:
+                await router.drain()
+                good.close()
+                bad.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), 60.0))
+
+    def test_fan_out_skips_a_shard_marked_down_after_it_began(self):
+        """A fan-out that picked its shards before a concurrent failure
+        marked one down must not contact that shard."""
+
+        async def scenario() -> None:
+            good, bad = await _FakeShard().start(), await _FakeShard().start()
+            router = ClusterRouter(
+                [("good", good.host, good.port), ("bad", bad.host, bad.port)],
+                RouterConfig(forward_timeout_s=10.0),
+            )
+            try:
+                # runs after the fan-out has begun, before its asks start
+                asyncio.get_running_loop().call_soon(router._mark_down, "bad")
+                reports = await router._fan_out("stats")
+                assert reports["good"]["ok"] and reports["bad"] is None
+                assert bad.frames == []
+            finally:
+                await router._release()
+                good.close()
+                bad.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))

@@ -15,7 +15,7 @@ import pytest
 
 from repro.apps.blast import blast_pipeline
 from repro.cluster import ClusterConfig, ClusterThread
-from repro.cluster.supervisor import ShardSupervisor, SupervisorConfig
+from repro.cluster.supervisor import BACKOFF_BASE_S, BACKOFF_CAP_S, ShardSupervisor
 from repro.serve.client import ServeClient
 from repro.streaming import pipeline_to_dict
 
@@ -26,16 +26,15 @@ def model():
 
 
 class TestBackoff:
-    def _supervisor(self, seed: int, **knobs) -> ShardSupervisor:
-        config = SupervisorConfig(**knobs)
-
+    def _supervisor(self, seed: int) -> ShardSupervisor:
         class _NoRouter:  # backoff math needs no router at all
             pass
 
-        return ShardSupervisor([], _NoRouter(), config, rng=random.Random(seed))
+        return ShardSupervisor([], _NoRouter(), rng=random.Random(seed))
 
     def test_full_jitter_spans_the_exponential_ceiling(self):
-        sup = self._supervisor(1, backoff_base_s=0.25, backoff_cap_s=8.0)
+        assert (BACKOFF_BASE_S, BACKOFF_CAP_S) == (0.25, 8.0)
+        sup = self._supervisor(1)
         for attempt in range(12):
             ceiling = min(8.0, 0.25 * 2.0 ** attempt)
             draws = [sup.backoff_delay(attempt) for _ in range(200)]

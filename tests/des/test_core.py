@@ -1,18 +1,10 @@
-"""Tests for the DES kernel: events, processes, scheduling, interrupts."""
+"""Tests for the DES kernel: events, processes, scheduling, failures."""
 
 import math
 
 import pytest
 
-from repro.des import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.des import Environment, SimulationError
 
 
 class TestEnvironment:
@@ -48,22 +40,6 @@ class TestEnvironment:
         env.process(once(env))
         env.run()
         assert env.now == 2.0
-
-    def test_run_until_event_returns_value(self):
-        env = Environment()
-
-        def worker(env):
-            yield env.timeout(1.0)
-            return "done"
-
-        p = env.process(worker(env))
-        assert env.run(until=p) == "done"
-
-    def test_run_until_event_starvation(self):
-        env = Environment()
-        ev = env.event()  # never triggered
-        with pytest.raises(SimulationError, match="ran out of events"):
-            env.run(until=ev)
 
     def test_peek_and_step(self):
         env = Environment()
@@ -201,36 +177,6 @@ class TestProcesses:
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
-    def test_interrupt(self):
-        env = Environment()
-        trace = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as exc:
-                trace.append((env.now, exc.cause))
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt("wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert trace == [(1.0, "wake up")]
-
-    def test_interrupt_terminated_rejected(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(0.1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
     def test_is_alive(self):
         env = Environment()
 
@@ -256,77 +202,3 @@ class TestProcesses:
         env.run()
         assert got == ["v"]
 
-
-class TestConditions:
-    def test_all_of(self):
-        env = Environment()
-        out = []
-
-        def w(env):
-            t1, t2 = env.timeout(1.0, "a"), env.timeout(3.0, "b")
-            res = yield AllOf(env, [t1, t2])
-            out.append((env.now, sorted(res.values())))
-
-        env.process(w(env))
-        env.run()
-        assert out == [(3.0, ["a", "b"])]
-
-    def test_any_of(self):
-        env = Environment()
-        out = []
-
-        def w(env):
-            t1, t2 = env.timeout(1.0, "a"), env.timeout(3.0, "b")
-            res = yield AnyOf(env, [t1, t2])
-            out.append((env.now, list(res.values())))
-
-        env.process(w(env))
-        env.run()
-        assert out == [(1.0, ["a"])]
-
-    def test_operator_sugar(self):
-        env = Environment()
-        out = []
-
-        def w(env):
-            res = yield env.timeout(1.0, "a") | env.timeout(2.0, "b")
-            out.append(env.now)
-            yield env.timeout(0.0) & env.timeout(5.0)
-            out.append(env.now)
-
-        env.process(w(env))
-        env.run()
-        assert out == [1.0, 6.0]
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-        out = []
-
-        def w(env):
-            res = yield AllOf(env, [])
-            out.append((env.now, res))
-
-        env.process(w(env))
-        env.run()
-        assert out == [(0.0, {})]
-
-    def test_failed_constituent_fails_condition(self):
-        env = Environment()
-        ev = env.event()
-        caught = []
-
-        def w(env):
-            try:
-                yield AllOf(env, [env.timeout(1.0), ev])
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        env.process(w(env))
-        ev.fail(RuntimeError("constituent"))
-        env.run()
-        assert caught == ["constituent"]
-
-    def test_mixed_environment_rejected(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(ValueError):
-            AllOf(env1, [env1.timeout(1.0), env2.timeout(1.0)])

@@ -25,6 +25,24 @@ from repro.sweep import ResultCache
 from repro.units import KiB, MiB
 
 
+def _killer_payload(payload):
+    """Pool entry point that hard-kills the worker on the ``victim`` model.
+
+    Module level so it pickles; ``os._exit`` so the worker dies the way
+    an OOM kill or a segfault looks from the parent.  It only ever
+    kills a pool worker: run in the test process it evaluates normally.
+    """
+    import multiprocessing
+    import os
+
+    from repro.sweep.runner import evaluate_point
+
+    model, params, options, seed = payload
+    if model["name"] == "victim" and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return evaluate_point(model, params, options, seed)
+
+
 def _single_stage_spec(name="unit", **expect):
     """A tiny, fast scenario with exact hand-derived closed forms."""
     r_a, b, r_s, t, j = 100 * MiB, 1 * MiB, 200 * MiB, 2e-3, 256 * KiB
@@ -111,6 +129,32 @@ class TestRunCatalog:
         for a, b in zip(cold.results, warm.results):
             assert [c.to_dict() for c in a.checks] == [c.to_dict() for c in b.checks]
             assert b.cached
+
+    @pytest.mark.skipif(
+        __import__("multiprocessing").get_start_method(allow_none=True) not in (None, "fork"),
+        reason="worker-death injection relies on the fork start method",
+    )
+    def test_worker_death_marks_scenario_failed_and_continues(self, monkeypatch, tmp_path):
+        import repro.sweep.runner as sweep_runner
+
+        monkeypatch.setattr(sweep_runner, "_evaluate_payload", _killer_payload)
+        # the victim goes first: the runner charges a dead worker to the
+        # first broken scenario in submission order
+        names = ["victim", "second", "third"]
+        specs = [_single_stage_spec(name=n) for n in names]
+        cache = ResultCache(tmp_path / "cache")
+        result = run_catalog(specs, jobs=2, cache=cache)
+        # pool mode collapsed, but the catalog itself survived
+        assert result.mode == "parallel-degraded"
+        assert [r.spec.name for r in result.results] == names
+        # exactly one casualty, not rerun in-process: the scenario the
+        # worker died on
+        broken = [r for r in result.results if r.error and "BrokenProcessPool" in r.error]
+        assert [r.spec.name for r in broken] == ["victim"]
+        # every sibling was evaluated (in the pool or serially) and passed
+        assert [r.spec.name for r in result.results if r.ok] == ["second", "third"]
+        # the casualty is not cached: a later run evaluates it again
+        assert len(cache) == 2
 
     def test_duplicate_names_rejected(self):
         spec = _single_stage_spec()
