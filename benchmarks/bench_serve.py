@@ -1,4 +1,4 @@
-"""Serving benchmark: throughput, tail latency vs the NC bound, coalescing.
+"""Serving benchmark: throughput, tail latency vs the NC bound, cache hits.
 
 Drives a real :class:`~repro.serve.ServerThread` (sockets, worker pool,
 admission) with closed-loop client threads and records:
@@ -7,7 +7,6 @@ admission) with closed-loop client threads and records:
 * p50/p99 client-observed latency against the server's *self-computed*
   NC delay bound from ``/capacity`` — the paper's bound-vs-observed
   methodology applied to the serving layer itself,
-* batch-coalescing gain (mean batch size with a window vs without),
 * cache hit rate on a repeated-params phase.
 
 Run as a script for the full record (writes ``BENCH_serve.json``):
@@ -144,22 +143,6 @@ def run_benchmark(
             else None
         )
 
-        # -- phase 3: coalescing gain (windowed vs pass-through) -------- #
-        batch_config = ServeConfig(
-            port=0, workers=workers, calibrate=2,
-            batch_window_s=0.01, max_batch=32,
-        )
-        with ServerThread(batch_config) as srv:
-            _load_phase(
-                srv.host, srv.port,
-                clients=clients,
-                requests_per_client=requests_per_client // 2,
-                distinct_params=64,
-            )
-            with ServeClient(srv.host, srv.port) as c:
-                batching = c.stats()["result"]["batching"]
-            srv.stop()
-
     return {
         "bench": "serve",
         "version": __version__,
@@ -173,12 +156,6 @@ def run_benchmark(
         "nc_service_rate_rps": capacity["service_curve"]["service_rate_rps"],
         "admitted_rate_rps": capacity["arrival_curve"]["rate_rps"],
         "cache_hit_rate": hit_rate,
-        "batching": {
-            "window_s": batching["window_s"],
-            "mean_batch_size": batching["mean_batch_size"],
-            "max_batch_seen": batching["max_batch_seen"],
-            "coalesced_requests": batching["coalesced_requests"],
-        },
         # closed-loop clients self-pace under the admitted rate, so the
         # NC bound for admitted traffic should cover the observed p99
         "p99_under_bound": (
@@ -201,7 +178,6 @@ def test_serve_throughput_and_bound():
     )
     # cold phase is all misses, warm phase all hits -> exactly 1/2
     assert record["cache_hit_rate"] is not None and record["cache_hit_rate"] >= 0.5
-    assert record["batching"]["mean_batch_size"] >= 1.0
 
 
 def main() -> None:
@@ -218,8 +194,7 @@ def main() -> None:
         f"throughput {record['cold']['throughput_rps']:.0f} req/s, "
         f"p99 {record['cold']['p99_s'] * 1e3:.2f} ms "
         f"<= NC bound {record['nc_delay_bound_s'] * 1e3:.2f} ms, "
-        f"cache hit rate {record['cache_hit_rate']:.0%}, "
-        f"mean batch {record['batching']['mean_batch_size']:.2f}"
+        f"cache hit rate {record['cache_hit_rate']:.0%}"
     )
 
 

@@ -149,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--rate", type=float, default=None, help="admission rate R (requests/s)")
     pv.add_argument("--burst", type=float, default=None, help="admission burst b (requests)")
-    pv.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="coalesce compatible requests arriving within this window",
-    )
-    pv.add_argument("--max-batch", type=int, default=16)
     pv.add_argument("--timeout-s", type=float, default=30.0, help="per-request timeout")
     pv.add_argument("--drain-timeout-s", type=float, default=10.0)
     pv.add_argument("--cache-dir", type=Path, default=None, help="content-addressed result cache")
@@ -544,8 +537,6 @@ def _cmd_serve(args: argparse.Namespace) -> tuple[str, int]:
         slo_s=args.slo_ms / 1e3 if args.slo_ms is not None else None,
         rate=args.rate,
         burst=args.burst,
-        batch_window_s=args.batch_window_ms / 1e3,
-        max_batch=args.max_batch,
         request_timeout_s=args.timeout_s,
         drain_timeout_s=args.drain_timeout_s,
         cache_dir=str(args.cache_dir) if args.cache_dir is not None else None,
@@ -571,34 +562,44 @@ def _parse_request_params(pairs: "list[str]") -> dict:
     return params
 
 
-def _cmd_request(args: argparse.Namespace) -> tuple[str, int]:
+def _send_request(
+    args: argparse.Namespace, op: str, *, target: str, options: "dict | None" = None
+) -> tuple[str, int]:
+    """One request from the ``repro request`` / ``repro cluster request``
+    flags, printed as JSON; exit status 0 iff the answer is OK.
+
+    ``options`` replaces the evaluation options the flags would give
+    (``register-tenant`` sends its bucket instead); ``target`` names
+    the peer in the unreachable-peer error.
+    """
     import json
 
     from .serve import ServeClient
     from .streaming import pipeline_to_dict
 
     model = None
-    if args.op in ("analyze", "simulate"):
+    if op in ("analyze", "simulate"):
         if args.file is not None:
             model = pipeline_to_dict(_load_model_file(args.file))
         elif args.app is not None:
             model = pipeline_to_dict(_pipeline_for(args.app))
         else:
             raise SystemExit(f"op {args.op!r} needs --app or --file for the model")
-    options: dict = {}
-    if args.workload_mib is not None:
-        options["workload_mib"] = args.workload_mib
-    if args.seed is not None:
-        options["seed"] = args.seed
-    if args.packetized:
-        options["packetized"] = True
+    if options is None:
+        options = {}
+        if args.workload_mib is not None:
+            options["workload_mib"] = args.workload_mib
+        if args.seed is not None:
+            options["seed"] = args.seed
+        if args.packetized:
+            options["packetized"] = True
     try:
         with ServeClient(
             args.host, args.port, timeout=args.timeout,
             connect_retries=args.connect_retries,
         ) as client:
             response = client.request(
-                args.op,
+                op,
                 model=model,
                 params=_parse_request_params(args.param) or None,
                 options=options or None,
@@ -606,8 +607,12 @@ def _cmd_request(args: argparse.Namespace) -> tuple[str, int]:
                 retries=args.retries,
             )
     except (ConnectionError, OSError) as exc:
-        raise SystemExit(f"cannot reach server at {args.host}:{args.port}: {exc}")
+        raise SystemExit(f"cannot reach {target} at {args.host}:{args.port}: {exc}")
     return json.dumps(response, indent=1), 0 if response.get("ok") else 1
+
+
+def _cmd_request(args: argparse.Namespace) -> tuple[str, int]:
+    return _send_request(args, args.op, target="server")
 
 
 def _parse_tenant_flags(pairs: "list[str]") -> "list[tuple[str, float, float, float | None]]":
@@ -727,47 +732,15 @@ def _cmd_cluster(args: argparse.Namespace) -> tuple[str, int]:
         return json.dumps(response, indent=1), 0 if response.get("ok") else 1
 
     # request
-    from .streaming import pipeline_to_dict
-
     op = args.op.replace("-", "_")
-    model = None
-    if op in ("analyze", "simulate"):
-        if args.file is not None:
-            model = pipeline_to_dict(_load_model_file(args.file))
-        elif args.app is not None:
-            model = pipeline_to_dict(_pipeline_for(args.app))
-        else:
-            raise SystemExit(f"op {args.op!r} needs --app or --file for the model")
-    options: dict = {}
+    options = None
     if op == "register_tenant":
         if args.tenant is None or args.rate is None or args.burst is None:
             raise SystemExit("register-tenant needs --tenant, --rate and --burst")
         options = {"rate": args.rate, "burst": args.burst}
         if args.slo_ms is not None:
             options["slo_ms"] = args.slo_ms
-    else:
-        if args.workload_mib is not None:
-            options["workload_mib"] = args.workload_mib
-        if args.seed is not None:
-            options["seed"] = args.seed
-        if args.packetized:
-            options["packetized"] = True
-    try:
-        with ServeClient(
-            args.host, args.port, timeout=args.timeout,
-            connect_retries=args.connect_retries,
-        ) as client:
-            response = client.request(
-                op,
-                model=model,
-                params=_parse_request_params(args.param) or None,
-                options=options or None,
-                tenant=args.tenant,
-                retries=args.retries,
-            )
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(f"cannot reach router at {args.host}:{args.port}: {exc}")
-    return json.dumps(response, indent=1), 0 if response.get("ok") else 1
+    return _send_request(args, op, target="router", options=options)
 
 
 def _cmd_cache(args: argparse.Namespace) -> tuple[str, int]:

@@ -9,8 +9,7 @@ ephemeral ``(host, port)`` over a pipe, and exposes the two ways a
 shard leaves the cluster:
 
 * :meth:`terminate` — SIGTERM, the graceful path: the shard drains
-  (answers in-flight work, flushes batches, stops its pool) and exits
-  0 iff lossless;
+  (answers in-flight work, stops its pool) and exits 0 iff lossless;
 * :meth:`kill` — SIGKILL, the failure-injection path used by the
   failover tests: the process dies mid-request and the router must
   re-route to the ring successor.

@@ -12,10 +12,9 @@ break it.
 
 * :mod:`repro.serve.protocol`  — newline-delimited-JSON wire schema;
 * :mod:`repro.serve.admission` — token bucket + NC self-model;
-* :mod:`repro.serve.batching`  — job-ratio request coalescing;
 * :mod:`repro.serve.service`   — the NDJSON shell: listener, framing,
   in-flight accounting, drain (shared with the cluster router);
-* :mod:`repro.serve.engine`    — admission, cache, coalescing, process pool;
+* :mod:`repro.serve.engine`    — admission, cache, process pool;
 * :mod:`repro.serve.server`    — single-node dispatch over the engine;
 * :mod:`repro.serve.client`    — blocking client (``repro request``).
 
@@ -25,7 +24,6 @@ requested over the wire, and vice versa.
 """
 
 from .admission import AdmissionController, SelfModel, TokenBucket
-from .batching import Coalescer, evaluate_batch, recommended_window
 from .client import ServeClient, ServeClosedError, ServeConnectError
 from .engine import AnalysisEngine
 from .protocol import (
@@ -48,9 +46,6 @@ __all__ = [
     "AdmissionController",
     "SelfModel",
     "TokenBucket",
-    "Coalescer",
-    "evaluate_batch",
-    "recommended_window",
     "ServeClient",
     "ServeClosedError",
     "ServeConnectError",

@@ -6,13 +6,14 @@ engine — the TCP listener in :class:`~repro.serve.server.AnalysisServer`,
 a cluster shard process (:mod:`repro.cluster.shards`), or a test —
 without touching process-global state.  The engine installs no signal
 handlers, prints nothing, and keeps no module-level mutable state; one
-engine owns exactly one worker pool, one result cache, one NC
-self-model, and one coalescer.
+engine owns exactly one worker pool, one result cache and one NC
+self-model.
 
 The split is shell/engine: the host (:class:`~repro.serve.service.
 NdjsonService`) parses frames, manages connections and counts in-flight
 requests; the engine is everything behind the frame — admission, cache
-lookup, coalescing, pool dispatch, and the ``/capacity`` and ``/stats``
+lookup, pool dispatch (one :func:`~repro.sweep.runner.evaluate_point`
+call per cache miss), and the ``/capacity`` and ``/stats``
 introspection bodies.
 """
 
@@ -24,13 +25,12 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from ..telemetry.metrics import MetricsRegistry
 from ..sweep.cache import ResultCache, point_key
-from ..sweep.runner import point_seed
+from ..sweep.runner import evaluate_point, point_seed
 from .admission import AdmissionController, SelfModel, TokenBucket
-from .batching import Coalescer, evaluate_batch
 from .protocol import Request, error_response, ok_response
 
 __all__ = ["ServeConfig", "AnalysisEngine"]
@@ -80,8 +80,6 @@ class ServeConfig:
     slo_s: "float | None" = None  # delay SLO for admitted requests
     rate: "float | None" = None  # admission: sustained requests/s (alpha rate R)
     burst: "float | None" = None  # admission: bucket capacity (alpha burst b)
-    batch_window_s: float = 0.0  # 0 = coalescing off
-    max_batch: int = 16
     request_timeout_s: float = 30.0
     drain_timeout_s: float = 10.0
     cache_dir: "str | None" = None
@@ -126,11 +124,6 @@ class AnalysisEngine:
         )
         self.model = SelfModel(self.config.resolved_workers())
         self.admission: "AdmissionController | None" = None
-        self.coalescer = Coalescer(
-            self._pool_dispatch,
-            window_s=self.config.batch_window_s,
-            max_batch=self.config.max_batch,
-        )
         self.executor: "ProcessPoolExecutor | None" = None
 
     # ------------------------------------------------------------------ #
@@ -162,7 +155,7 @@ class AnalysisEngine:
         options = {"simulate": False, "packetized": False, "workload": None, "base_seed": 42}
         loop = asyncio.get_running_loop()
         warmups = [
-            loop.run_in_executor(self.executor, evaluate_batch, model, [{}], options, [i])
+            loop.run_in_executor(self.executor, evaluate_point, model, {}, options, i)
             for i in range(self.model.workers)
         ]
         await asyncio.gather(*warmups)
@@ -170,15 +163,14 @@ class AnalysisEngine:
         for i in range(n):
             t0 = time.perf_counter()
             out = await loop.run_in_executor(
-                self.executor, evaluate_batch, model, [{}], options, [i]
+                self.executor, evaluate_point, model, {}, options, i
             )
             wall = time.perf_counter() - t0
-            compute = float(out[0].get("elapsed", 0.0))
+            compute = float(out.get("elapsed", 0.0))
             self.model.observe(compute)
             dispatch_gaps.append(max(0.0, wall - compute))
-        # the smallest observed gap is the irreducible hand-off cost;
-        # the coalescing window is part of dispatch by construction
-        self.model.dispatch_latency = min(dispatch_gaps) + self.config.batch_window_s
+        # the smallest observed gap is the irreducible hand-off cost
+        self.model.dispatch_latency = min(dispatch_gaps)
 
     def _build_admission(self) -> None:
         cfg = self.config
@@ -196,9 +188,7 @@ class AnalysisEngine:
             self.admission = None  # open door: no envelope configured
 
     async def aclose(self) -> None:
-        """Flush forming batches, stop the pool (after its tasks finish)
-        and close the cache."""
-        await self.coalescer.flush()
+        """Stop the pool (after its tasks finish) and close the cache."""
         if self.executor is not None:
             self.executor.shutdown(wait=True)
         if self.cache is not None:
@@ -208,26 +198,8 @@ class AnalysisEngine:
     # evaluation
     # ------------------------------------------------------------------ #
 
-    async def _pool_dispatch(
-        self,
-        model: Mapping[str, Any],
-        params_list: Sequence[Mapping[str, Any]],
-        options: Mapping[str, Any],
-        seeds: Sequence[int],
-    ) -> Sequence[dict[str, Any]]:
-        """Ship one (possibly coalesced) batch to a worker process."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self.executor,
-            evaluate_batch,
-            dict(model),
-            [dict(p) for p in params_list],
-            dict(options),
-            list(seeds),
-        )
-
     async def evaluate(self, req: Request) -> dict[str, Any]:
-        """Admission -> cache -> coalesced pool dispatch for one request."""
+        """Admission -> cache -> pool dispatch for one request."""
         if req.tenant is not None:
             self.metrics.counter(f"serve.tenant.{req.tenant}.requests").inc()
         if self.admission is not None:
@@ -258,9 +230,13 @@ class AnalysisEngine:
             # same derivation as the sweep runner, so one cache key maps
             # to one result no matter which subsystem computed it first
             seed = point_seed(int(req.options.get("base_seed", 42)), req.params)
+            loop = asyncio.get_running_loop()
             try:
                 out = await asyncio.wait_for(
-                    self.coalescer.submit(req.model or {}, req.params, req.options, seed),
+                    loop.run_in_executor(
+                        self.executor, evaluate_point,
+                        req.model or {}, req.params, req.options, seed,
+                    ),
                     self.config.request_timeout_s,
                 )
             except asyncio.TimeoutError:
@@ -308,16 +284,14 @@ class AnalysisEngine:
             }
         report["name"] = self.config.name
         report["inflight"] = inflight
-        report["batch_window_s"] = self.config.batch_window_s
         report["draining"] = draining
         return report
 
     def stats(self, *, inflight: int) -> dict[str, Any]:
-        """Counters, latency histograms, cache and batching effectiveness."""
+        """Counters, latency histograms and cache effectiveness."""
         return {
             "name": self.config.name,
             "metrics": self.metrics.snapshot(),
             "cache": self.cache.stats() if self.cache is not None else None,
-            "batching": self.coalescer.stats(),
             "inflight": inflight,
         }

@@ -8,7 +8,6 @@ Architecture (stdlib only)::
         -> one AnalysisEngine                  (repro.serve.engine)
             -> admission control               (repro.serve.admission)
             -> content-addressed cache lookup  (repro.sweep.cache)
-            -> coalescing window               (repro.serve.batching)
             -> ProcessPoolExecutor             (repro.sweep.runner.evaluate_point)
 
     CPU-bound NC math and DES runs execute on worker *processes*, so
@@ -26,9 +25,9 @@ Lifecycle: ``start()`` spins up the pool, runs a calibration pass
 (which both pre-imports NumPy in the workers and primes the NC
 self-model with measured service times), derives the admission envelope
 when asked, and begins accepting.  SIGTERM/SIGINT request a graceful
-drain: the listener closes, in-flight requests (a forming batch
-included, when its window closes) complete and are answered within
-``drain_timeout_s``, the pool shuts down, and the connections close.
+drain: the listener closes, in-flight requests complete and are
+answered within ``drain_timeout_s``, the pool shuts down, and the
+connections close.
 The exit code is 0 iff no admitted request was dropped.
 """
 

@@ -5,7 +5,8 @@ helpful in understanding the performance implications of candidate
 design changes".  This module makes that workflow first-class:
 
 * :func:`upgrade_stage` / :func:`downgrade_stage` — scale one stage's
-  measured rates (a faster kernel, a wider link);
+  measured rates (a faster kernel, a wider link), and its measured
+  per-job times inversely, so the DES runs the upgrade too;
 * :func:`compare` — analyze two pipeline variants side by side;
 * :func:`bottleneck_ladder` — repeatedly upgrade the current bottleneck
   and report how far each upgrade moves the guaranteed rate (where the
@@ -20,7 +21,7 @@ design changes".  This module makes that workflow first-class:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .._validation import check_positive
 from ..units import format_rate, format_seconds
@@ -41,18 +42,25 @@ __all__ = [
 
 
 def upgrade_stage(pipeline: Pipeline, name: str, factor: float) -> Pipeline:
-    """A copy of the pipeline with one stage's rates scaled by ``factor > 1``."""
+    """A copy of the pipeline with one stage's rates scaled by ``factor``.
+
+    The stage's measured per-job execution-time overrides
+    (``exec_time_min``/``exec_time_max``, which the DES draws job times
+    from) scale by ``1 / factor``, so a simulation sees the same upgrade
+    as the NC analysis.  The sweep's ``scale:<stage>`` axis is this
+    function.
+    """
     check_positive("factor", factor)
-    stage = pipeline.stages[pipeline.stage_index(name)]
-    return pipeline.with_stage(
-        name,
-        replace(
-            stage,
-            min_rate=stage.rate_min * factor,
-            avg_rate=stage.avg_rate * factor,
-            max_rate=stage.rate_max * factor,
-        ),
+    s = pipeline.stages[pipeline.stage_index(name)]
+    changes: dict[str, Any] = dict(
+        min_rate=s.rate_min * factor,
+        avg_rate=s.avg_rate * factor,
+        max_rate=s.rate_max * factor,
     )
+    if s.exec_time_min is not None:
+        changes["exec_time_min"] = s.exec_time_min / factor
+        changes["exec_time_max"] = s.exec_time_max / factor
+    return pipeline.with_stage(name, replace(s, **changes))
 
 
 def downgrade_stage(pipeline: Pipeline, name: str, factor: float) -> Pipeline:

@@ -22,12 +22,12 @@ calls.
 
 Worker-pool failures degrade gracefully: if the pool cannot be created,
 the whole sweep runs serially; if a worker *dies mid-point* (OOM kill,
-segfault — surfacing as ``BrokenProcessPool``), the first casualty
-point is marked failed in the results/manifest and every remaining
-point is evaluated serially in-process.  The casualty is deliberately
-*not* retried in-process: a point that killed a worker could kill the
-sweep.  Either way the run completes and the manifest records mode
-``parallel-degraded``.
+segfault — surfacing as ``BrokenProcessPool``), every point the broken
+pool took down is evaluated again on a one-worker pool, one at a time,
+and a point that breaks that pool too is marked failed in the
+results/manifest.  A point that killed a worker never runs in-process:
+it could kill the sweep.  Either way the run completes and the manifest
+records mode ``parallel-degraded``.
 
 :func:`evaluate_points` is that loop — cache lookup, pool, serial
 fill-in, store — for any list of points; the scenario catalog
@@ -255,11 +255,11 @@ def _run_parallel(
     * pool cannot be created — evaluate nothing here; the caller's
       serial fill-in handles every pending point (``parallel-degraded``);
     * a worker dies mid-point (``BrokenProcessPool``: OOM killer,
-      segfault, ``os._exit``) — the first broken point in submission
-      order is recorded as failed (its siblings, broken only by
-      association, are left for the serial fill-in) and NOT retried
-      in-process, since re-running a worker-killing point serially
-      could take the whole sweep down with it;
+      segfault, ``os._exit``) — every unfinished future breaks with the
+      pool, and points not yet submitted when it broke never ran, so
+      which point killed it is unknown; all of them go to
+      :func:`_isolate_casualties`, which charges the death to the point
+      that did it and never runs that point in-process;
     * any other per-future failure (e.g. result transport) — the point
       is left for the serial fill-in.
     """
@@ -271,33 +271,79 @@ def _run_parallel(
     except Exception:  # pool creation failure (e.g. no sem support)
         return "parallel-degraded"
     mode = "parallel"
+    broken = False
+    suspects: list[int] = []
     try:
+        futures = {}
         try:
-            futures = {i: executor.submit(_evaluate_payload, payloads[i]) for i in pending}
+            for i in pending:
+                futures[i] = executor.submit(_evaluate_payload, payloads[i])
+        except BrokenProcessPool:
+            broken = True  # a worker died before the last submission
         except Exception:  # submission failure: nothing parallel ran
             return "parallel-degraded"
-        worker_died = False
         for i in pending:
+            future = futures.get(i)
+            # once the pool is known broken, a future that is not done
+            # can only fail, or never finish if it was submitted while
+            # the pool was failing its futures: do not wait for it
+            if future is None or (broken and not future.done()):
+                suspects.append(i)
+                continue
             try:
-                raw[i] = futures[i].result()
-            except BrokenProcessPool as exc:
-                mode = "parallel-degraded"
-                if not worker_died:
-                    worker_died = True
-                    detail = f": {exc}" if str(exc) else ""
-                    raw[i] = {
-                        "error": (
-                            "BrokenProcessPool: worker died evaluating this "
-                            f"point (killed? out of memory?){detail}"
-                        ),
-                        "elapsed": 0.0,
-                    }
-                # siblings fall through to the caller's serial fill-in
+                raw[i] = future.result()
+            except BrokenProcessPool:
+                broken = True
+                suspects.append(i)
             except Exception:
                 mode = "parallel-degraded"
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
+    if suspects:
+        _isolate_casualties(raw, suspects, payloads)
+        mode = "parallel-degraded"
     return mode
+
+
+def _isolate_casualties(
+    raw: dict[int, dict[str, Any]],
+    suspects: Sequence[int],
+    payloads: Sequence[Payload],
+) -> None:
+    """Evaluate the points a broken pool took down, one per worker.
+
+    Each point runs alone on a one-worker pool.  A one-worker pool that
+    breaks was running exactly that point, so the point is recorded as
+    failed (and not stored); a fresh one-worker pool takes the rest.
+    Any other failure (no pool, no result) leaves the point to the
+    caller's serial fill-in, as in :func:`_run_parallel`.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    executor = None
+    try:
+        for i in suspects:
+            try:
+                if executor is None:
+                    executor = ProcessPoolExecutor(max_workers=1)
+                raw[i] = executor.submit(_evaluate_payload, payloads[i]).result()
+            except BrokenProcessPool as exc:
+                detail = f": {exc}" if str(exc) else ""
+                raw[i] = {
+                    "error": (
+                        "BrokenProcessPool: worker died evaluating this "
+                        f"point (killed? out of memory?){detail}"
+                    ),
+                    "elapsed": 0.0,
+                }
+                executor.shutdown(wait=False)
+                executor = None
+            except Exception:
+                pass
+    finally:
+        if executor is not None:
+            executor.shutdown(wait=False)
 
 
 @dataclass(frozen=True)

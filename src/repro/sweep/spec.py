@@ -44,7 +44,13 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping, Sequence
 
 from .._validation import check_positive
-from ..streaming import Pipeline, Source, pipeline_from_dict, pipeline_to_dict
+from ..streaming import (
+    Pipeline,
+    Source,
+    pipeline_from_dict,
+    pipeline_to_dict,
+    upgrade_stage,
+)
 from ..units import MiB
 
 __all__ = ["Axis", "SweepPoint", "SweepSpec", "parse_grid_arg"]
@@ -211,7 +217,7 @@ class SweepSpec:
         for name, value in point.params.items():
             kind, _, stage = name.partition(":")
             if kind == "scale":
-                pipe = _scale_stage(pipe, stage, float(value))
+                pipe = upgrade_stage(pipe, stage, float(value))
             elif kind == "job_scale":
                 s = pipe.stages[pipe.stage_index(stage)]
                 pipe = pipe.with_stage(
@@ -250,18 +256,3 @@ class AppliedPoint:
     workload: float | None
     queue_bytes: Mapping[str, float] = field(default_factory=dict)
 
-
-def _scale_stage(pipeline: Pipeline, name: str, factor: float) -> Pipeline:
-    """Scale one stage's rates by ``factor`` (and its measured per-job
-    execution-time overrides inversely, so the DES sees the upgrade too)."""
-    check_positive("factor", factor)
-    s = pipeline.stages[pipeline.stage_index(name)]
-    changes: dict[str, Any] = dict(
-        min_rate=s.rate_min * factor,
-        avg_rate=s.avg_rate * factor,
-        max_rate=s.rate_max * factor,
-    )
-    if s.exec_time_min is not None:
-        changes["exec_time_min"] = s.exec_time_min / factor
-        changes["exec_time_max"] = s.exec_time_max / factor
-    return pipeline.with_stage(name, replace(s, **changes))

@@ -138,8 +138,8 @@ class TestRunCatalog:
         import repro.sweep.runner as sweep_runner
 
         monkeypatch.setattr(sweep_runner, "_evaluate_payload", _killer_payload)
-        # the victim goes first: the runner charges a dead worker to the
-        # first broken scenario in submission order
+        # the victim goes first here; the next test puts it between two
+        # siblings that break with the pool too
         names = ["victim", "second", "third"]
         specs = [_single_stage_spec(name=n) for n in names]
         cache = ResultCache(tmp_path / "cache")
@@ -155,6 +155,25 @@ class TestRunCatalog:
         assert [r.spec.name for r in result.results if r.ok] == ["second", "third"]
         # the casualty is not cached: a later run evaluates it again
         assert len(cache) == 2
+
+    @pytest.mark.skipif(
+        __import__("multiprocessing").get_start_method(allow_none=True) not in (None, "fork"),
+        reason="worker-death injection relies on the fork start method",
+    )
+    def test_worker_death_is_charged_to_the_scenario_that_killed_it(self, monkeypatch):
+        import repro.sweep.runner as sweep_runner
+
+        monkeypatch.setattr(sweep_runner, "_evaluate_payload", _killer_payload)
+        # "first" is still running (or queued) when "victim" kills its
+        # worker, so "first" breaks with the pool too; only a rerun on a
+        # one-worker pool tells the two apart
+        names = ["first", "victim", "last"]
+        result = run_catalog([_single_stage_spec(name=n) for n in names], jobs=2)
+        assert result.mode == "parallel-degraded"
+        broken = [r.spec.name for r in result.results
+                  if r.error and "BrokenProcessPool" in r.error]
+        assert broken == ["victim"]
+        assert [r.spec.name for r in result.results if r.ok] == ["first", "last"]
 
     def test_duplicate_names_rejected(self):
         spec = _single_stage_spec()

@@ -2,8 +2,8 @@
 
 One module-scoped server carries the happy-path tests (startup costs a
 pool spawn plus calibration, so it is shared); behaviors that need a
-special configuration (admission, batching, drain accounting) get their
-own short-lived instances.
+special configuration (admission, drain accounting) get their own
+short-lived instances.
 """
 
 import json
@@ -71,13 +71,15 @@ class TestOps:
         assert cap["arrival_curve"]["kind"] == "leaky_bucket"
         assert cap["delay_bound_s"] <= cap["slo_s"] * (1 + 1e-9)
         assert cap["stable"] is True
+        assert {"name", "inflight", "draining"} <= set(cap)
+        assert "batch_window_s" not in cap
 
-    def test_stats_exposes_metrics_cache_batching(self, client):
+    def test_stats_exposes_metrics_and_cache(self, client):
         st = client.stats()["result"]
         assert st["metrics"]["serve.requests"]["value"] >= 1
         assert st["metrics"]["serve.latency_s"]["type"] == "histogram"
         assert st["cache"]["entries"] >= 1
-        assert st["batching"]["requests"] >= 1
+        assert sorted(st) == ["cache", "inflight", "metrics", "name"]
 
     def test_evaluation_error_is_422(self, client):
         resp = client.analyze(MODEL, params={"scale:no_such_stage": 2.0})
@@ -134,30 +136,6 @@ class TestAdmission:
         config = ServeConfig(port=0, workers=1, calibrate=0, slo_s=0.5)
         with pytest.raises(RuntimeError, match="calibration"):
             ServerThread(config, start_timeout=30.0)
-
-
-class TestBatching:
-    def test_window_coalesces_concurrent_requests(self):
-        config = ServeConfig(port=0, workers=1, calibrate=0,
-                             batch_window_s=0.05, max_batch=16)
-        with ServerThread(config) as srv:
-            oks = []
-
-            def one(i):
-                with ServeClient(srv.host, srv.port) as c:
-                    oks.append(c.analyze(MODEL, params={"scale:network": 1.0 + i})["ok"])
-
-            threads = [threading.Thread(target=one, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            with ServeClient(srv.host, srv.port) as c:
-                stats = c.stats()["result"]["batching"]
-            srv.stop()
-        assert oks == [True] * 4
-        # at least some of the four rode a shared batch
-        assert stats["batches"] < stats["requests"] or stats["coalesced_requests"] > 0
 
 
 class TestDrain:

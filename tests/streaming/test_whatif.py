@@ -46,6 +46,22 @@ class TestStageScaling:
         with pytest.raises(KeyError, match="no stage named"):
             upgrade_stage(pipe, "warp_drive", 2.0)
 
+    def test_upgrade_is_the_sweep_scale_axis(self, pipe):
+        """One stage-scaling function: the what-if upgrade and the sweep's
+        ``scale:<stage>`` axis give the same pipeline document, measured
+        per-job times included (the DES draws its job times from them)."""
+        from repro.streaming import pipeline_to_dict
+        from repro.sweep import Axis, SweepPoint, SweepSpec
+
+        spec = SweepSpec.from_pipeline(pipe, [Axis("scale:ungapped_ext", (2.0,))])
+        swept = spec.apply_point(SweepPoint(0, {"scale:ungapped_ext": 2.0})).pipeline
+        upgraded = upgrade_stage(pipe, "ungapped_ext", 2.0)
+        assert pipeline_to_dict(upgraded) == pipeline_to_dict(swept)
+        base = pipe.stages[pipe.stage_index("ungapped_ext")]
+        fast = upgraded.stages[upgraded.stage_index("ungapped_ext")]
+        assert fast.exec_time_min == pytest.approx(base.exec_time_min / 2)
+        assert fast.exec_time_max == pytest.approx(base.exec_time_max / 2)
+
     def test_other_stages_untouched(self, pipe):
         up = upgrade_stage(pipe, "network", 2.0)
         for name in ("fa2bit", "ungapped_ext"):

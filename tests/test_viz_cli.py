@@ -495,3 +495,38 @@ class TestCliRequest:
 
         with pytest.raises(SystemExit, match="needs --app or --file"):
             main(["request", "analyze", "--port", "1"])
+
+    def test_serve_help_lists_no_coalescing_flags(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--timeout-s" in out
+        assert "--batch-window-ms" not in out and "--max-batch" not in out
+
+    def test_request_and_cluster_request_share_one_path(self, capsys):
+        import json
+
+        from repro.cli import main
+        from repro.serve import ServeConfig, ServerThread
+
+        with ServerThread(ServeConfig(port=0, workers=1, calibrate=0)) as srv:
+            capsys.readouterr()  # the server's listening line
+            where = ["--host", srv.host, "--port", str(srv.port)]
+            params = ["--app", "blast", "--param", "scale:network=2.0"]
+            assert main(["cluster", "request", "analyze", *params, *where]) == 0
+            first = json.loads(capsys.readouterr().out)
+            assert main(["request", "analyze", *params, *where]) == 0
+            second = json.loads(capsys.readouterr().out)
+            srv.stop()
+        assert first["ok"] and second["ok"]
+        assert second["result"]["nc"] == first["result"]["nc"]
+
+    def test_register_tenant_without_rate_is_a_usage_error(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="register-tenant needs --tenant, --rate and --burst"):
+            main(["cluster", "request", "register-tenant", "--tenant", "acme",
+                  "--burst", "5", "--port", "1"])
