@@ -27,12 +27,9 @@ from .nc import (
     rate_latency,
 )
 
-try:  # single source of truth: the installed package metadata
-    from importlib.metadata import PackageNotFoundError, version as _pkg_version
-
-    __version__ = _pkg_version("repro")
-except PackageNotFoundError:  # running from a source tree (PYTHONPATH=src)
-    __version__ = "1.0.0"
+#: the one place the version is written: ``pyproject.toml`` reads it from
+#: here, so no interpreter pays for ``importlib.metadata`` at import
+__version__ = "1.0.0"
 
 __all__ = [
     "Curve",

@@ -31,7 +31,14 @@ from .monitor import CumulativeFlow, DelayStats, StepSeries
 from .recurrence import SERVE_TOL, WHOLE_TOL, emit_chunk, simulate_recurrence
 from .report import SimulationReport, StageStats
 
-__all__ = ["Packet", "SimStage", "ByteQueue", "PipelineSimulation"]
+__all__ = ["Packet", "SimStage", "ByteQueue", "PipelineSimulation", "check_queue_bytes"]
+
+
+def check_queue_bytes(queue_bytes: float) -> None:
+    """Raise unless ``queue_bytes`` bounds an input queue: positive,
+    ``inf`` for unbounded (NaN, which compares false, is refused)."""
+    if not queue_bytes > 0:
+        raise ValueError("queue_bytes must be positive (inf for unbounded)")
 
 
 @dataclass
@@ -83,8 +90,7 @@ class SimStage:
         check_non_negative("startup_latency", self.startup_latency)
         if self.emit is not None:
             check_positive("emit", self.emit)
-        if self.queue_bytes <= 0:
-            raise ValueError("queue_bytes must be positive (inf for unbounded)")
+        check_queue_bytes(self.queue_bytes)
 
     @property
     def emit_bytes(self) -> float:

@@ -15,6 +15,11 @@ requests; the engine is everything behind the frame — admission, cache
 lookup, pool dispatch (one :func:`~repro.sweep.runner.evaluate_point`
 call per cache miss), and the ``/capacity`` and ``/stats``
 introspection bodies.
+
+A pool worker that dies breaks the whole pool.  The engine replaces a
+broken pool (once per broken pool, counted in ``serve.pool_restarts``)
+and reruns each call it broke on the replacement, once; a call that
+breaks the replacement too is answered 500 ``worker_died``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
@@ -133,14 +139,50 @@ class AnalysisEngine:
     async def start(self) -> None:
         """Create the pool, calibrate, build the admission controller."""
         cfg = self.config
-        self.executor = ProcessPoolExecutor(
-            max_workers=cfg.resolved_workers(),
-            initializer=_pool_worker_init,
-            initargs=(os.getpid(),),
-        )
+        self.executor = self._new_pool()
         if cfg.calibrate > 0:
             await self._calibrate(cfg.calibrate)
         self._build_admission()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.config.resolved_workers(),
+            initializer=_pool_worker_init,
+            initargs=(os.getpid(),),
+        )
+
+    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Swap a broken pool for a new one, once per broken pool: a
+        request that saw the same break after the swap reuses it."""
+        if self.executor is not broken:
+            return
+        broken.shutdown(wait=False)
+        self.executor = self._new_pool()
+        self.metrics.counter("serve.pool_restarts").inc()
+
+    async def _run_point(
+        self, args: tuple[Any, ...], timeout: "float | None" = None
+    ) -> dict[str, Any]:
+        """One ``evaluate_point(model, params, options, seed)`` call on the
+        pool, within ``timeout`` seconds (``asyncio.TimeoutError``).  A
+        call the pool broke under runs once more on the replacement, in
+        what is left of ``timeout``; ``BrokenProcessPool`` escapes only if
+        that breaks too.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = None if timeout is None else loop.time() + timeout
+        for attempt in range(2):
+            executor = self.executor
+            try:
+                # wait on the executor's future itself: wrapping this
+                # coroutine in wait_for would add a task per request
+                future = loop.run_in_executor(executor, evaluate_point, *args)
+                left = None if deadline is None else deadline - loop.time()
+                return await asyncio.wait_for(future, left)
+            except BrokenProcessPool:
+                self._replace_pool(executor)
+                if attempt:
+                    raise
 
     async def _calibrate(self, n: int) -> None:
         """Prime worker imports and the NC self-model with measured times.
@@ -153,18 +195,14 @@ class AnalysisEngine:
         """
         model = _calibration_model()
         options = {"simulate": False, "packetized": False, "workload": None, "base_seed": 42}
-        loop = asyncio.get_running_loop()
         warmups = [
-            loop.run_in_executor(self.executor, evaluate_point, model, {}, options, i)
-            for i in range(self.model.workers)
+            self._run_point((model, {}, options, i)) for i in range(self.model.workers)
         ]
         await asyncio.gather(*warmups)
         dispatch_gaps = []
         for i in range(n):
             t0 = time.perf_counter()
-            out = await loop.run_in_executor(
-                self.executor, evaluate_point, model, {}, options, i
-            )
+            out = await self._run_point((model, {}, options, i))
             wall = time.perf_counter() - t0
             compute = float(out.get("elapsed", 0.0))
             self.model.observe(compute)
@@ -230,13 +268,9 @@ class AnalysisEngine:
             # same derivation as the sweep runner, so one cache key maps
             # to one result no matter which subsystem computed it first
             seed = point_seed(int(req.options.get("base_seed", 42)), req.params)
-            loop = asyncio.get_running_loop()
             try:
-                out = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        self.executor, evaluate_point,
-                        req.model or {}, req.params, req.options, seed,
-                    ),
+                out = await self._run_point(
+                    (req.model or {}, req.params, req.options, seed),
                     self.config.request_timeout_s,
                 )
             except asyncio.TimeoutError:
@@ -246,6 +280,14 @@ class AnalysisEngine:
                     code="timeout",
                     message=f"evaluation exceeded {self.config.request_timeout_s} s "
                     "(the worker task keeps running; retry may hit the cache)",
+                )
+            except BrokenProcessPool as exc:
+                return error_response(
+                    req.id,
+                    status=500,
+                    code="worker_died",
+                    message="the pool worker died evaluating this request, on "
+                    f"the pool and on its replacement (killed? out of memory?): {exc}",
                 )
             if "error" not in out and self.cache is not None:
                 self.cache.put(key, out)

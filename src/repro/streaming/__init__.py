@@ -39,6 +39,7 @@ from .whatif import (
     bottleneck_ladder,
     compare,
     downgrade_stage,
+    scaled_stage,
     upgrade_grid,
     upgrade_stage,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "bottleneck_ladder",
     "compare",
     "downgrade_stage",
+    "scaled_stage",
     "upgrade_grid",
     "upgrade_stage",
 ]

@@ -24,10 +24,23 @@ from typing import Sequence
 from .stage import Stage, VolumeRatio
 
 __all__ = [
+    "SCENARIOS",
+    "check_scenario",
     "cumulative_volume_factors",
     "NormalizedStage",
+    "normalize_stage",
     "normalize_stages",
 ]
+
+#: the data scenarios one run can live in (``None`` is the model view)
+SCENARIOS = ("worst", "avg", "best")
+
+
+def check_scenario(scenario: str | None) -> None:
+    """Raise ``ValueError`` unless ``scenario`` names a data scenario
+    (or is ``None``, the model view)."""
+    if scenario is not None and scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
 
 
 def cumulative_volume_factors(
@@ -92,30 +105,32 @@ def normalize_stages(
     names = [s.name for s in stages]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate stage names in {names}")
-    if scenario not in (None, "worst", "avg", "best"):
-        raise ValueError(f"unknown scenario {scenario!r}")
+    check_scenario(scenario)
     factors = cumulative_volume_factors([s.volume_ratio for s in stages])
-    out: list[NormalizedStage] = []
-    for s, v in zip(stages, factors):
-        if scenario is None:
-            # worst rate in the worst data scenario: lower service bound;
-            # best rate in the best data scenario: max service curve
-            v_min, v_avg, v_max = v.worst, v.avg, v.best
-            v_job = v.avg
-        else:
-            v_min = v_avg = v_max = v_job = getattr(v, scenario)
-        out.append(
-            NormalizedStage(
-                name=s.name,
-                rate_min=s.rate_min / v_min,
-                rate_avg=s.avg_rate / v_avg,
-                rate_max=s.rate_max / v_max,
-                latency=s.latency,
-                job_bytes=s.job_bytes / v_job,
-                emit_bytes=s.output_bytes / v_job,
-                kind=s.kind.value,
-                exec_time_min=s.exec_time_min,
-                exec_time_max=s.exec_time_max,
-            )
-        )
-    return out
+    return [normalize_stage(s, v, scenario) for s, v in zip(stages, factors)]
+
+
+def normalize_stage(
+    s: Stage, v: VolumeRatio, scenario: str | None = None
+) -> NormalizedStage:
+    """One stage's input-referred row, given the volume factor ``v`` of
+    the data entering it (see :func:`normalize_stages`)."""
+    if scenario is None:
+        # worst rate in the worst data scenario: lower service bound;
+        # best rate in the best data scenario: max service curve
+        v_min, v_avg, v_max = v.worst, v.avg, v.best
+        v_job = v.avg
+    else:
+        v_min = v_avg = v_max = v_job = getattr(v, scenario)
+    return NormalizedStage(
+        name=s.name,
+        rate_min=s.rate_min / v_min,
+        rate_avg=s.avg_rate / v_avg,
+        rate_max=s.rate_max / v_max,
+        latency=s.latency,
+        job_bytes=s.job_bytes / v_job,
+        emit_bytes=s.output_bytes / v_job,
+        kind=s.kind.value,
+        exec_time_min=s.exec_time_min,
+        exec_time_max=s.exec_time_max,
+    )

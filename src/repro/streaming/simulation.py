@@ -15,9 +15,20 @@ from typing import Any, Mapping
 
 from .._validation import check_positive
 from ..des import PipelineSimulation, SimStage, SimulationReport, uniform
+from ..des.pipeline_sim import check_queue_bytes
 from .pipeline import Pipeline
 
-__all__ = ["to_simulation", "simulate"]
+__all__ = ["check_queue_bounds", "to_simulation", "simulate"]
+
+
+def check_queue_bounds(pipeline: Pipeline, queue_bytes: Mapping[str, float]) -> None:
+    """Raise on input-queue bounds a DES run of ``pipeline`` refuses: one
+    naming an unknown stage (``KeyError``) or one not positive."""
+    unknown = set(queue_bytes) - set(pipeline.stage_names())
+    if unknown:
+        raise KeyError(f"queue bounds for unknown stages: {sorted(unknown)}")
+    for bound in queue_bytes.values():
+        check_queue_bytes(bound)
 
 
 def to_simulation(
@@ -41,9 +52,7 @@ def to_simulation(
     """
     check_positive("workload", workload)
     queue_bytes = dict(queue_bytes or {})
-    unknown = set(queue_bytes) - set(pipeline.stage_names())
-    if unknown:
-        raise KeyError(f"queue bounds for unknown stages: {sorted(unknown)}")
+    check_queue_bounds(pipeline, queue_bytes)
 
     stages = []
     for s in pipeline.normalized(scenario):

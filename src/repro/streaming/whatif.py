@@ -6,7 +6,8 @@ design changes".  This module makes that workflow first-class:
 
 * :func:`upgrade_stage` / :func:`downgrade_stage` — scale one stage's
   measured rates (a faster kernel, a wider link), and its measured
-  per-job times inversely, so the DES runs the upgrade too;
+  per-job times inversely, so the DES runs the upgrade too
+  (:func:`scaled_stage` is that rule for one stage);
 * :func:`compare` — analyze two pipeline variants side by side;
 * :func:`bottleneck_ladder` — repeatedly upgrade the current bottleneck
   and report how far each upgrade moves the guaranteed rate (where the
@@ -27,12 +28,14 @@ from .._validation import check_positive
 from ..units import format_rate, format_seconds
 from .analysis import AnalysisReport, analyze
 from .pipeline import Pipeline
+from .stage import Stage
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sweep import ResultCache, SweepResult
 
 __all__ = [
     "WhatIfReport",
+    "scaled_stage",
     "upgrade_stage",
     "downgrade_stage",
     "compare",
@@ -41,17 +44,16 @@ __all__ = [
 ]
 
 
-def upgrade_stage(pipeline: Pipeline, name: str, factor: float) -> Pipeline:
-    """A copy of the pipeline with one stage's rates scaled by ``factor``.
+def scaled_stage(s: Stage, factor: float) -> Stage:
+    """A copy of the stage with its rates scaled by ``factor``.
 
     The stage's measured per-job execution-time overrides
     (``exec_time_min``/``exec_time_max``, which the DES draws job times
     from) scale by ``1 / factor``, so a simulation sees the same upgrade
-    as the NC analysis.  The sweep's ``scale:<stage>`` axis is this
-    function.
+    as the NC analysis.  This is the one stage-scaling rule:
+    :func:`upgrade_stage` and the sweep's ``scale:<stage>`` axis apply it.
     """
     check_positive("factor", factor)
-    s = pipeline.stages[pipeline.stage_index(name)]
     changes: dict[str, Any] = dict(
         min_rate=s.rate_min * factor,
         avg_rate=s.avg_rate * factor,
@@ -60,7 +62,14 @@ def upgrade_stage(pipeline: Pipeline, name: str, factor: float) -> Pipeline:
     if s.exec_time_min is not None:
         changes["exec_time_min"] = s.exec_time_min / factor
         changes["exec_time_max"] = s.exec_time_max / factor
-    return pipeline.with_stage(name, replace(s, **changes))
+    return replace(s, **changes)
+
+
+def upgrade_stage(pipeline: Pipeline, name: str, factor: float) -> Pipeline:
+    """A copy of the pipeline with one stage scaled by ``factor``
+    (:func:`scaled_stage`)."""
+    s = pipeline.stages[pipeline.stage_index(name)]
+    return pipeline.with_stage(name, scaled_stage(s, factor))
 
 
 def downgrade_stage(pipeline: Pipeline, name: str, factor: float) -> Pipeline:

@@ -2,12 +2,18 @@
 
 Each point runs the network-calculus analysis (and, when the spec says
 so, the DES validation) of its pipeline variant.  Evaluation is a pure
-function of JSON-able inputs — ``(model document, params, options,
-seed)`` — which buys three properties at once:
+function of ``(model, params, options, seed)`` — the model being a
+pipeline document or the :class:`~repro.streaming.Pipeline` parsed from
+it — which buys three properties at once:
 
 * points pickle cleanly into a :mod:`multiprocessing` pool;
 * results are content-addressable (see :mod:`repro.sweep.cache`);
 * serial, parallel, and cached runs produce identical results.
+
+A sweep parses its base document once (:attr:`SweepSpec.pipeline`) and
+hands every point the parsed pipeline, which the point changes by its
+params (:func:`~repro.sweep.spec.apply_params`); a served request or a
+catalog scenario brings a document, which the point parses.
 
 Per-point seeds derive from the spec's base seed and the point's
 parameters via SHA-256, so they are stable across runs, processes, and
@@ -41,9 +47,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+from ..streaming import Pipeline
 from ..units import MiB
 from .cache import ResultCache, canonical_json, point_keyer
-from .spec import SweepPoint, SweepSpec
+from .spec import SweepSpec, apply_params
 
 __all__ = [
     "DEFAULT_SIM_WORKLOAD",
@@ -83,16 +90,18 @@ def _options_dict(spec: SweepSpec) -> dict[str, Any]:
 
 
 def evaluate_point(
-    model: Mapping[str, Any],
+    model: Mapping[str, Any] | Pipeline,
     params: Mapping[str, Any],
     options: Mapping[str, Any],
     seed: int,
 ) -> dict[str, Any]:
-    """Evaluate one grid point; pure function of JSON-able inputs.
+    """Evaluate one grid point; a pure function of its inputs.
 
-    Returns a JSON-able dict with ``nc`` (always), ``des``, ``metrics``
-    and ``conformance`` (when simulation is enabled), and ``elapsed``
-    (compute seconds).  Errors are captured per point
+    ``model`` is a pipeline document (JSON) or the parsed
+    :class:`~repro.streaming.Pipeline` of one; a document is parsed
+    here.  Returns a JSON-able dict with ``nc`` (always), ``des``,
+    ``metrics`` and ``conformance`` (when simulation is enabled), and
+    ``elapsed`` (compute seconds).  Errors are captured per point
     (``{"error": ...}``) so one pathological variant cannot abort a
     whole sweep.
 
@@ -107,18 +116,14 @@ def evaluate_point(
     try:
         from ..streaming import analyze, simulate
 
-        spec = SweepSpec(
-            base=dict(model),
-            axes=(),
-            simulate=bool(options["simulate"]),
-            packetized=bool(options["packetized"]),
-            workload=options["workload"],
-            base_seed=int(options["base_seed"]),
-        )
-        applied = spec.apply_point(SweepPoint(0, dict(params)))
+        if not isinstance(model, Pipeline):
+            # through a spec, whose checks (the workload, the stage list)
+            # precede the parse: a bad document fails as it always did
+            model = SweepSpec(base=model, axes=(), workload=options["workload"]).pipeline
+        applied = apply_params(model, params, options["workload"])
         report = analyze(
             applied.pipeline,
-            packetized=spec.packetized,
+            packetized=bool(options["packetized"]),
             workload=applied.workload,
         )
         nc = {
@@ -135,7 +140,7 @@ def evaluate_point(
             "backlog_bound_workload": report.backlog_bound_workload,
         }
         des = metrics_out = conformance = None
-        if spec.simulate:
+        if options["simulate"]:
             from ..telemetry import (
                 ConformanceReport,
                 check_arrivals,
@@ -194,7 +199,9 @@ def evaluate_point(
 
 
 #: one point's evaluation inputs: ``(model, params, options, seed)``
-Payload = tuple[Mapping[str, Any], Mapping[str, Any], Mapping[str, Any], int]
+Payload = tuple[
+    "Mapping[str, Any] | Pipeline", Mapping[str, Any], Mapping[str, Any], int
+]
 
 
 def _evaluate_payload(payload: Payload) -> dict[str, Any]:
@@ -477,8 +484,14 @@ def run_sweep(
     seeds = [point_seed(spec.base_seed, p.params) for p in points]
     key_of = point_keyer(model, options)
     keys = [key_of(p.params) for p in points]
+    try:
+        base: Mapping[str, Any] | Pipeline = spec.pipeline
+        # normalized once here; every point's pipeline carries the view
+        base.normalized()
+    except Exception:  # noqa: BLE001 - each evaluated point reports it
+        base = model
     outs, cached, mode = evaluate_points(
-        [(model, p.params, options, seed) for p, seed in zip(points, seeds)],
+        [(base, p.params, options, seed) for p, seed in zip(points, seeds)],
         keys, jobs=jobs, cache=cache,
     )
 

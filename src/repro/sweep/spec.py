@@ -41,25 +41,48 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
 from .._validation import check_positive
 from ..streaming import (
     Pipeline,
     Source,
+    Stage,
     pipeline_from_dict,
     pipeline_to_dict,
-    upgrade_stage,
+    scaled_stage,
 )
+from ..streaming.normalization import SCENARIOS, check_scenario
+from ..streaming.simulation import check_queue_bounds
 from ..units import MiB
 
-__all__ = ["Axis", "SweepPoint", "SweepSpec", "parse_grid_arg"]
+__all__ = [
+    "Axis",
+    "AppliedPoint",
+    "SweepPoint",
+    "SweepSpec",
+    "apply_params",
+    "parse_grid_arg",
+]
 
-_SCENARIOS = ("worst", "avg", "best")
 #: axis names taking a stage-name suffix after the colon
 _STAGE_AXES = ("scale", "job_scale", "queue_mib")
 #: axis names standing alone
 _PLAIN_AXES = ("source_rate_scale", "source_burst_mib", "scenario", "workload_mib")
+
+
+def _check_axis_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is in the axis vocabulary."""
+    kind = name.split(":", 1)[0]
+    if kind in _STAGE_AXES:
+        if ":" not in name or not name.split(":", 1)[1]:
+            raise ValueError(f"axis {name!r} needs a stage name after ':'")
+    elif name not in _PLAIN_AXES:
+        raise ValueError(
+            f"unknown axis {name!r}; expected one of "
+            f"{', '.join(_PLAIN_AXES)} or <{'/'.join(_STAGE_AXES)}>:<stage>"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,19 +95,11 @@ class Axis:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError(f"axis {self.name!r} has no values")
-        kind = self.name.split(":", 1)[0]
-        if kind in _STAGE_AXES:
-            if ":" not in self.name or not self.name.split(":", 1)[1]:
-                raise ValueError(f"axis {self.name!r} needs a stage name after ':'")
-        elif self.name not in _PLAIN_AXES:
-            raise ValueError(
-                f"unknown axis {self.name!r}; expected one of "
-                f"{', '.join(_PLAIN_AXES)} or <{'/'.join(_STAGE_AXES)}>:<stage>"
-            )
+        _check_axis_name(self.name)
         if self.name == "scenario":
-            bad = [v for v in self.values if v not in _SCENARIOS]
+            bad = [v for v in self.values if v not in SCENARIOS]
             if bad:
-                raise ValueError(f"scenario values must be in {_SCENARIOS}, got {bad}")
+                raise ValueError(f"scenario values must be in {SCENARIOS}, got {bad}")
         else:
             for v in self.values:
                 check_positive(f"axis {self.name!r} value", float(v))
@@ -146,8 +161,9 @@ class SweepSpec:
     """A base pipeline plus the grid of variants to evaluate.
 
     The base pipeline is stored as its JSON document (the same schema
-    :mod:`repro.streaming.io` round-trips) so specs pickle cleanly into
-    worker processes and hash stably into cache keys.
+    :mod:`repro.streaming.io` round-trips) so specs hash stably into
+    cache keys.  :attr:`pipeline` is that document parsed and validated,
+    once, on first read; every point is applied to it.
     """
 
     base: Mapping[str, Any]
@@ -204,47 +220,15 @@ class SweepSpec:
     # point application
     # ------------------------------------------------------------------ #
 
-    def base_pipeline(self) -> Pipeline:
-        """The unmodified base pipeline."""
+    @cached_property
+    def pipeline(self) -> Pipeline:
+        """The base pipeline: the document parsed and validated once, on
+        first read (a document that does not parse raises on every read)."""
         return pipeline_from_dict(dict(self.base))
 
     def apply_point(self, point: SweepPoint) -> "AppliedPoint":
         """Materialize one grid point into a concrete experiment."""
-        pipe = self.base_pipeline()
-        scenario = "avg"
-        workload = self.workload
-        queue_bytes: dict[str, float] = {}
-        for name, value in point.params.items():
-            kind, _, stage = name.partition(":")
-            if kind == "scale":
-                pipe = upgrade_stage(pipe, stage, float(value))
-            elif kind == "job_scale":
-                s = pipe.stages[pipe.stage_index(stage)]
-                pipe = pipe.with_stage(
-                    stage, replace(s, job_bytes=s.job_bytes * float(value))
-                )
-            elif kind == "queue_mib":
-                queue_bytes[stage] = float(value) * MiB
-            elif name == "source_rate_scale":
-                src = pipe.source
-                pipe = pipe.with_source(
-                    Source(src.rate * float(value), src.burst, src.packet_bytes)
-                )
-            elif name == "source_burst_mib":
-                src = pipe.source
-                pipe = pipe.with_source(
-                    Source(src.rate, float(value) * MiB, src.packet_bytes)
-                )
-            elif name == "scenario":
-                scenario = str(value)
-            elif name == "workload_mib":
-                workload = float(value) * MiB
-        return AppliedPoint(
-            pipeline=pipe,
-            scenario=scenario,
-            workload=workload,
-            queue_bytes=queue_bytes,
-        )
+        return apply_params(self.pipeline, point.params, self.workload)
 
 
 @dataclass(frozen=True)
@@ -256,3 +240,59 @@ class AppliedPoint:
     workload: float | None
     queue_bytes: Mapping[str, float] = field(default_factory=dict)
 
+
+def apply_params(
+    pipeline: Pipeline, params: Mapping[str, Any], workload: float | None = None
+) -> AppliedPoint:
+    """Apply one point's axis assignment to a parsed pipeline, in one pass.
+
+    The stages and the source a param changes are built and validated as
+    the axis says (a ``scale:<stage>`` param through
+    :func:`~repro.streaming.scaled_stage`); everything else is reused, and
+    one :class:`Pipeline` carrying the base's normalized view is built at
+    the end.  Every param is checked whether or not the point simulates:
+    a name outside the axis vocabulary raises :class:`Axis`'s error, and
+    a scenario or queue bound raises what the DES run would.
+    ``workload`` (input-referred bytes) is the default a
+    ``workload_mib`` param overrides.
+    """
+    stages: dict[str, Stage] = {}
+    source = pipeline.source
+    scenario = "avg"
+    queue_bytes: dict[str, float] = {}
+
+    def current(name: str) -> Stage:
+        """The named stage as this point has changed it so far."""
+        if name in stages:
+            return stages[name]
+        return pipeline.stages[pipeline.stage_index(name)]
+
+    for name, value in params.items():
+        kind, _, stage = name.partition(":")
+        if kind == "scale":
+            stages[stage] = scaled_stage(current(stage), float(value))
+        elif kind == "job_scale":
+            s = current(stage)
+            stages[stage] = replace(s, job_bytes=s.job_bytes * float(value))
+        elif kind == "queue_mib":
+            queue_bytes[stage] = float(value) * MiB
+        elif name == "source_rate_scale":
+            source = Source(source.rate * float(value), source.burst, source.packet_bytes)
+        elif name == "source_burst_mib":
+            source = Source(source.rate, float(value) * MiB, source.packet_bytes)
+        elif name == "scenario":
+            scenario = str(value)
+        elif name == "workload_mib":
+            workload = float(value) * MiB
+        else:
+            _check_axis_name(name)  # raises: each name it accepts is handled above
+    check_queue_bounds(pipeline, queue_bytes)
+    check_scenario(scenario)
+    if stages or source is not pipeline.source:
+        pipeline = pipeline.with_changes(source=source, stages=stages)
+    return AppliedPoint(
+        pipeline=pipeline,
+        scenario=scenario,
+        workload=workload,
+        queue_bytes=queue_bytes,
+    )

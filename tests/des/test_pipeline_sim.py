@@ -44,6 +44,8 @@ class TestSimStage:
             SimStage("x", 1.0, constant(1.0), emit=0.0)
         with pytest.raises(ValueError):
             SimStage("x", 1.0, constant(1.0), queue_bytes=0.0)
+        with pytest.raises(ValueError):  # a NaN bound used to stall the run
+            SimStage("x", 1.0, constant(1.0), queue_bytes=float("nan"))
 
 
 class TestByteQueue:

@@ -87,6 +87,12 @@ class TestOps:
         assert resp["status"] == 422
         assert resp["error"]["code"] == "evaluation_error"
 
+    def test_unknown_param_is_422(self, client):
+        resp = client.analyze(MODEL, params={"foo": 1.0})
+        assert resp["status"] == 422
+        assert resp["error"]["code"] == "evaluation_error"
+        assert resp["error"]["message"].startswith("ValueError: unknown axis 'foo'")
+
     def test_malformed_line_is_400_and_keeps_connection(self, client):
         client._file.write(b"this is not json\n")
         client._file.flush()

@@ -135,6 +135,20 @@ class TestResultCache:
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
+    def test_version_salt_costs_no_metadata_import(self):
+        code = (
+            "import sys\n"
+            "import repro.sweep, repro.scenarios, repro.serve.engine, repro.cluster.router\n"
+            "assert 'importlib.metadata' not in sys.modules, 'imported at start'\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "--version"],
+            check=True, timeout=120, capture_output=True, text=True,
+        ).stdout
+        assert out == "repro 1.0.0\n"
+        assert f"repro-{repro.__version__}-schema-{CACHE_SCHEMA_VERSION}" == "repro-1.0.0-schema-3"
+
 
 class TestStatsAndPrune:
     def _fill(self, tmp_path, n=3):

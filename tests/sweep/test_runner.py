@@ -247,6 +247,94 @@ class TestKeys:
         self._assert_keys(spec)
 
 
+#: one invalid value per axis kind and the per-point error text it has
+#: always produced on BLAST.  The ``queue_mib`` and ``scenario`` rows
+#: give the texts of the DES run, the one path that checked them before:
+#: an NC-only point used to answer them as the unchanged base model
+INVALID_POINTS = [
+    ({"scale:network": -1.0}, "ValueError: factor must be > 0, got -1.0"),
+    ({"scale:network": 1e308}, "ValueError: avg_rate must be finite, got inf"),
+    ({"scale:ungapped_ext": 1e-320}, "ValueError: exec_time_min must be finite, got inf"),
+    ({"scale:nosuch": 2.0}, "KeyError: \"no stage named 'nosuch' in pipeline 'BLAST'\""),
+    ({"job_scale:compose": -1.0}, "ValueError: job_bytes must be > 0, got -4194304.0"),
+    ({"job_scale:compose": 1e308}, "ValueError: job_bytes must be finite, got inf"),
+    ({"job_scale:nosuch": 2.0}, "KeyError: \"no stage named 'nosuch' in pipeline 'BLAST'\""),
+    ({"source_rate_scale": 1e308}, "ValueError: rate must be finite, got inf"),
+    ({"source_rate_scale": -1.0}, "ValueError: rate must be > 0, got -738197504.0"),
+    ({"source_burst_mib": -1}, "ValueError: burst must be >= 0, got -1048576.0"),
+    ({"workload_mib": -1}, "ValueError: workload must be > 0, got -1048576.0"),
+    ({"workload_mib": 1e308}, "ValueError: workload must be finite, got inf"),
+    ({"queue_mib:nosuch": 1.0}, "KeyError: \"queue bounds for unknown stages: ['nosuch']\""),
+    ({"queue_mib:network": -1.0}, "ValueError: queue_bytes must be positive (inf for unbounded)"),
+    ({"scenario": "bogus"}, "ValueError: unknown scenario 'bogus'"),
+]
+
+
+def _blast_model(kind):
+    """BLAST as the serve pool sends it (its document) or as a sweep
+    hands it to each point (the parsed pipeline)."""
+    spec = SweepSpec.from_pipeline(blast_pipeline(), ())
+    return spec.base if kind == "document" else spec.pipeline
+
+
+def _options(simulate):
+    return {"simulate": simulate, "packetized": False,
+            "workload": 1 * MiB if simulate else None, "base_seed": 42}
+
+
+@pytest.mark.parametrize("kind", ["document", "pipeline"])
+@pytest.mark.parametrize("simulate", [False, True], ids=["nc", "des"])
+class TestPointErrors:
+    @pytest.mark.parametrize("params,error", INVALID_POINTS, ids=lambda v: str(v)[:40])
+    def test_invalid_value_keeps_its_error_text(self, params, error, simulate, kind):
+        out = runner_mod.evaluate_point(_blast_model(kind), params, _options(simulate), 7)
+        assert out["error"] == error
+
+    def test_unknown_axis_fails_the_point(self, simulate, kind):
+        out = runner_mod.evaluate_point(_blast_model(kind), {"foo": 1.0}, _options(simulate), 7)
+        assert out["error"] == (
+            "ValueError: unknown axis 'foo'; expected one of source_rate_scale, "
+            "source_burst_mib, scenario, workload_mib or "
+            "<scale/job_scale/queue_mib>:<stage>"
+        )
+
+
+class TestPointErrorsInSweeps:
+    def test_sweep_points_fail_with_the_same_text(self):
+        spec = SweepSpec.from_pipeline(
+            blast_pipeline(), [Axis("scale:network", (1.0, 1e308))]
+        )
+        errors = [r.error for r in run_sweep(spec).results]
+        assert errors == [None, "ValueError: avg_rate must be finite, got inf"]
+
+
+class TestParseOnce:
+    def test_a_sweep_parses_its_base_once(self, monkeypatch, tmp_path):
+        import repro.sweep.spec as spec_mod
+
+        parsed = []
+        real = spec_mod.pipeline_from_dict
+
+        def spy(data):
+            parsed.append(data["name"])
+            return real(data)
+
+        monkeypatch.setattr(spec_mod, "pipeline_from_dict", spy)
+        result = run_sweep(_spec(), cache=ResultCache(tmp_path))
+        assert result.cache_misses == 4 and not result.errors
+        assert parsed == ["BLAST"]
+
+    def test_a_base_that_does_not_parse_fails_each_evaluated_point(self):
+        model = {
+            "name": "m",
+            "source": {"rate": math.inf},
+            "stages": [{"name": "a", "avg_rate": 1.0}],
+        }
+        spec = SweepSpec(base=model, axes=(Axis("scale:a", (1.0, 2.0)),))
+        errors = [r.error for r in run_sweep(spec).results]
+        assert errors == ["ValueError: rate must be finite, got inf"] * 2
+
+
 class TestWhatifGrid:
     def test_upgrade_grid_drives_sweep(self):
         grid = upgrade_grid(blast_pipeline(), ["ungapped_ext"], [1.0, 2.0])
