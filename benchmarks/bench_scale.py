@@ -74,9 +74,10 @@ def _shard_cache_rates(stats: dict) -> dict[str, float | None]:
         if doc is None:
             rates[name] = None
             continue
-        cache = doc.get("cache") or {}
-        total = cache.get("hits", 0) + cache.get("misses", 0)
-        rates[name] = cache["hits"] / total if total else None
+        metrics = doc["metrics"]
+        hits = metrics.get("serve.cache.hits", {}).get("value", 0)
+        total = hits + metrics.get("serve.cache.misses", {}).get("value", 0)
+        rates[name] = hits / total if total else None
     return rates
 
 

@@ -136,12 +136,10 @@ def run_benchmark(
             summary = srv.stop()
         assert summary["clean"], f"drain dropped requests: {summary}"
 
-        cache = stats["cache"]
-        hit_rate = (
-            cache["hits"] / (cache["hits"] + cache["misses"])
-            if cache and (cache["hits"] + cache["misses"])
-            else None
-        )
+        metrics = stats["metrics"]
+        hits = metrics.get("serve.cache.hits", {}).get("value", 0)
+        misses = metrics.get("serve.cache.misses", {}).get("value", 0)
+        hit_rate = hits / (hits + misses) if hits + misses else None
 
     return {
         "bench": "serve",

@@ -2,8 +2,9 @@
 
 Its callers: the sweep artifact store (``results.json``/``.csv``,
 ``manifest.json``), the scenario reports, the figure CSVs, exported
-model documents, Perfetto trace files and the cluster's tenant journal
-(the only durable one).  The result cache is not among them: its
+model documents, Perfetto trace files and the cluster's durable tenant
+table (:class:`repro.cluster.tenants.TenantRegistry`, the only durable
+caller).  The result cache is not among them: its
 entries are rows of one SQLite file (:mod:`repro.sweep.cache`).
 
 Concurrent writers (parallel sweeps, overlapping CI jobs) must never
@@ -23,7 +24,7 @@ Atomic is not durable: without fsync, a host crash can lose a rename
 the program already acknowledged, or leave the new name pointing at an
 empty file.  ``durable=True`` fsyncs the temp file before the rename
 and the directory after it.  Only state that promises to survive a host
-crash asks for it (the tenant journal); reports do not pay two fsyncs
+crash asks for it (the tenant table); reports do not pay two fsyncs
 per write.
 """
 

@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     ks.add_argument("--timeout-s", type=float, default=30.0, help="per-request timeout")
     ks.add_argument("--drain-timeout-s", type=float, default=10.0)
     ks.add_argument("--journal", type=Path, default=None,
-                    help="tenant journal path (default: <cache-dir>/"
-                         "tenant-journal.ndjson when --cache-dir is set)")
+                    help="durable tenant table, one NDJSON record per tenant "
+                         "(default: <cache-dir>/tenant-journal.ndjson when "
+                         "--cache-dir is set)")
     ks.add_argument("--heartbeat-s", type=float, default=2.0,
                     help="supervisor heartbeat interval")
     ks.add_argument("--no-supervise", action="store_true",
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     kt.add_argument("--watch", type=float, default=None, metavar="SECONDS",
                     help="poll /stats every SECONDS, printing one health "
                          "line (epoch, in-flight, down, restarts, unhealthy "
-                         "shards, journal) per tick")
+                         "shards, tenants in the durable table) per tick")
 
     kq = ksub.add_parser("request", help="issue one request through the router")
     kq.add_argument(
@@ -639,7 +640,8 @@ def _cluster_watch(args: argparse.Namespace) -> tuple[str, int]:
 
     Each tick reconnects (a bounced router is the interesting case) and
     prints ring epoch, in-flight count, down set, restart totals,
-    shards the supervisor does not report up, and journal size.
+    shards the supervisor does not report up, and the tenant count of
+    the durable tenant table.
     Ctrl-C exits 0 — watching is not a failure, and neither is the
     downstream end of a pipe closing (`--watch | head`).
     """
@@ -668,7 +670,7 @@ def _cluster_watch(args: argparse.Namespace) -> tuple[str, int]:
                     f"down={','.join(down) if down else '-'} "
                     f"restarts={sup.get('restarts_total', 0)} "
                     f"unhealthy={states if states else '-'} "
-                    f"journal={journal.get('records', 0)}rec"
+                    f"journal={journal.get('tenants', 0)}tenants"
                 )
             except (ConnectionError, OSError) as exc:
                 line = f"unreachable ({type(exc).__name__})"

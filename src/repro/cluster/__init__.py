@@ -25,17 +25,18 @@ pool, result cache — sit behind one router that
    into the ring — bumping a ring epoch and retightening every
    tenant's live bound to whatever capacity actually survives
    (:mod:`repro.cluster.supervisor`);
-5. **keeps tenant state durable**: registrations append to an NDJSON
-   journal replayed on router restart, so a bounce loses no envelope
-   (:mod:`repro.cluster.journal`).
+5. **keeps tenant state durable**: the tenant registry rewrites its
+   NDJSON table, one record per tenant, before a registration is
+   answered and loads it on router restart, so a bounce loses no
+   envelope (:mod:`repro.cluster.tenants`).
 
 * :mod:`repro.cluster.ring`         — consistent-hash ring;
-* :mod:`repro.cluster.tenants`      — tenant registry + NC bounds;
+* :mod:`repro.cluster.tenants`      — tenant registry + NC bounds,
+  durable tenant table;
 * :mod:`repro.cluster.router`       — routing/admission dispatch on the
   :mod:`repro.serve.service` shell;
 * :mod:`repro.cluster.shards`       — shard subprocess supervision;
 * :mod:`repro.cluster.supervisor`   — heartbeats, restart, rejoin;
-* :mod:`repro.cluster.journal`      — durable tenant registrations;
 * :mod:`repro.cluster.orchestrator` — cluster lifecycle (``repro
   cluster start``, the :class:`ClusterThread` test harness);
 * :mod:`repro.cluster.loadgen`      — open-loop heavy-tailed replay;
@@ -44,7 +45,6 @@ pool, result cache — sit behind one router that
 """
 
 from .chaos import ChaosReport, FaultEvent, chaos_schedule, run_chaos, tenant_table
-from .journal import TenantJournal
 from .loadgen import ReplayReport, ScheduledRequest, build_schedule, replay
 from .orchestrator import Cluster, ClusterConfig, ClusterThread, run
 from .ring import HashRing
@@ -59,7 +59,6 @@ __all__ = [
     "chaos_schedule",
     "run_chaos",
     "tenant_table",
-    "TenantJournal",
     "ReplayReport",
     "ScheduledRequest",
     "build_schedule",

@@ -191,8 +191,8 @@ def tenant_table(host: str, port: int) -> dict[str, dict[str, Any]]:
     """The durable part of the registry: name -> (R, b, SLO).
 
     Two calls around a router bounce must return identical tables when
-    a journal is configured — the acceptance check for durable tenant
-    state.
+    a journal path makes the table durable — the acceptance check for
+    durable tenant state.
     """
     with ServeClient(host, port, connect_retries=6) as client:
         doc = client.tenants()["result"]

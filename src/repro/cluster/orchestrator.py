@@ -21,10 +21,10 @@ drop anything the router didn't fail over).
 
 Self-healing (this layer's contribution): when ``supervise`` is on, a
 :class:`~repro.cluster.supervisor.ShardSupervisor` heartbeats every
-shard and restarts/rejoins crashed ones; when a tenant journal is
+shard and restarts/rejoins crashed ones; when a tenant journal path is
 configured (explicitly, or derived from ``cache_dir``), the registry
-is replayed from it before the router accepts — envelopes survive a
-router bounce.
+loads its table from that file before the router accepts — envelopes
+survive a router bounce.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Any
 from ..serve.engine import ServeConfig
 from ..serve.protocol import PROTOCOL_VERSION
 from ..serve.service import ServiceThread, drained_line, run_service
-from .journal import TenantJournal
 from .router import ClusterRouter, RouterConfig
 from .shards import ShardProcess
 from .supervisor import ShardSupervisor, SupervisorConfig
@@ -64,8 +63,8 @@ class ClusterConfig:
     calibrate: int = 6
     #: tenants registered before the router accepts: (name, rate, burst, slo_s)
     tenants: "list[tuple[str, float, float, float | None]]" = field(default_factory=list)
-    #: durable tenant state; None derives <cache_dir>/tenant-journal.ndjson
-    #: when a cache_dir is configured (no cache_dir, no journal)
+    #: the durable tenant table; None derives <cache_dir>/tenant-journal.ndjson
+    #: when a cache_dir is configured (no cache_dir, no durable table)
     journal_path: "str | None" = None
     #: run the shard supervisor (heartbeats, restart + ring rejoin)
     supervise: bool = True
@@ -130,7 +129,6 @@ class Cluster:
         self.shards: list[ShardProcess] = []
         self.router: "ClusterRouter | None" = None
         self.supervisor: "ShardSupervisor | None" = None
-        self.journal: "TenantJournal | None" = None
         self.host = self.config.host
         self.port: "int | None" = None
 
@@ -146,30 +144,11 @@ class Cluster:
         endpoints = await asyncio.gather(
             *(loop.run_in_executor(None, shard.start) for shard in self.shards)
         )
-        registry = TenantRegistry()
-        journal_file = cfg.journal_file()
-        if journal_file is not None:
-            # durable-state replay first: a bounced router rebuilds the
-            # registry the previous incarnation acknowledged...
-            self.journal = TenantJournal(journal_file)
-            self.journal.replay_into(registry)
+        # the table the previous router acknowledged, then the config's
+        # pre-registrations on top (an unchanged one writes nothing)
+        registry = TenantRegistry(cfg.journal_file())
         for name, rate, burst, slo_s in cfg.tenants:
-            # ...then config pre-registrations apply on top (and are
-            # journaled only when they actually change an envelope, so
-            # identical restarts don't grow the journal)
-            existing = registry.get(name)
-            changed = (
-                existing is None
-                or existing.rate != float(rate)
-                or existing.burst != float(burst)
-                or existing.slo_s != slo_s
-            )
             registry.register(name, rate, burst, slo_s=slo_s)
-            if self.journal is not None and changed:
-                self.journal.append(
-                    "register" if existing is None else "reconfigure",
-                    name, float(rate), float(burst), slo_s=slo_s,
-                )
         self.router = ClusterRouter(
             [
                 (shard.name, host, port)
@@ -177,7 +156,6 @@ class Cluster:
             ],
             cfg.router_config(),
             registry=registry,
-            journal=self.journal,
         )
         self.host, self.port = await self.router.start()
         if cfg.supervise:

@@ -33,10 +33,10 @@ links:
   invariant, enforced across failures.  Shard health has one path:
   the first failed exchange puts a shard in the ``down`` set, no
   request path (forward or fan-out) contacts a shard in ``down``, and
-  only a supervisor probe or restart takes it out again.  Tenant
-  registrations are journaled
-  (:class:`~repro.cluster.journal.TenantJournal`) so the registry
-  survives a router bounce.
+  only a supervisor probe or restart takes it out again.  A registry
+  with a path (:class:`~repro.cluster.tenants.TenantRegistry`) has a
+  registration on disk before the router answers it, so the tenant
+  table survives a router bounce.
 
 Down shards stay *in* the blake2b ring but are skipped by the
 preference walk, so live routing is exactly the ring-minus-down-shards
@@ -75,7 +75,6 @@ from ..serve.protocol import (
     ok_response,
 )
 from ..serve.service import NdjsonService
-from .journal import TenantJournal
 from .ring import HashRing
 from .tenants import TenantRegistry
 
@@ -191,7 +190,6 @@ class ClusterRouter(NdjsonService):
         config: "RouterConfig | None" = None,
         *,
         registry: "TenantRegistry | None" = None,
-        journal: "TenantJournal | None" = None,
     ) -> None:
         if not shards:
             raise ValueError("ClusterRouter needs at least one shard")
@@ -205,7 +203,6 @@ class ClusterRouter(NdjsonService):
         }
         self.ring = HashRing(self.links)
         self.registry = registry if registry is not None else TenantRegistry()
-        self.journal = journal
         self.down: set[str] = set()
         #: bumped on every membership change (shard lost or rejoined);
         #: lets clients and the chaos harness observe ring transitions
@@ -392,22 +389,15 @@ class ClusterRouter(NdjsonService):
     async def _register_tenant(self, req: Request) -> dict[str, Any]:
         assert req.tenant is not None  # parse_request enforces it
         await self.refresh_beta()
-        op = "reconfigure" if self.registry.get(req.tenant) is not None else "register"
+        # a durable registry is on disk when this returns, before the
+        # answer (a rare control-plane op: the fsync'd rewrite may block
+        # the loop)
         tenant = self.registry.register(
             req.tenant,
             req.options["rate"],
             req.options["burst"],
             slo_s=req.options.get("slo_s"),
         )
-        if self.journal is not None:
-            # journaled *after* validation succeeded, *before* the
-            # response: a registration the client saw acknowledged is
-            # durable across a router bounce or a host crash.
-            # (Registrations are rare control-plane ops; the small
-            # fsync'd rewrite is fine on the event loop.)
-            self.journal.append(
-                op, tenant.name, tenant.rate, tenant.burst, slo_s=tenant.slo_s
-            )
         doc = tenant.to_dict()
         if self.beta is not None:
             bound = self.registry.tenant_delay_bound(tenant.name, self.beta)
@@ -453,7 +443,8 @@ class ClusterRouter(NdjsonService):
                 self.supervisor.snapshot() if self.supervisor is not None else None
             ),
             "journal": (
-                self.journal.snapshot() if self.journal is not None else None
+                {"path": str(self.registry.path), "tenants": len(self.registry)}
+                if self.registry.path is not None else None
             ),
         })
 

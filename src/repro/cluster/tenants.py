@@ -24,14 +24,31 @@ or when the tenant declared an SLO its live residual bound cannot meet
 (``rejected_slo``).  Unknown tenants are rejected outright
 (``unknown_tenant``) — capacity is reserved by registration, not
 first-come-first-served.
+
+Durable state: given a path, the registry keeps its table in that file,
+one NDJSON record per tenant in registration order::
+
+    {"burst": 20.0, "rate": 50.0, "seq": 1, "slo_s": null, "tenant": "acme"}
+
+It loads the file once, and a registration that adds a tenant or changes
+an envelope rewrites it through :func:`repro._fsutil.atomic_write_text`
+with ``durable=True`` *before* the registry changes in memory, so a
+registration that returned (and that the router acknowledged) survives a
+process or host crash; one that changes nothing writes nothing.  The
+loader reads lines last-wins in file order, so it also reads the op log
+older routers appended (whose lines carry an ``op`` key as well); ``seq``
+numbers the lines only because those routers sort by it on load.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
+from pathlib import Path
 from typing import Any, Callable
 
+from .._fsutil import atomic_write_text
 from ..nc.bounds import delay_bound
 from ..nc.builders import leaky_bucket
 from ..nc.curve import Curve
@@ -62,6 +79,11 @@ class Tenant:
         self.rejected_rate = 0
         self.rejected_slo = 0
 
+    @property
+    def envelope(self) -> "tuple[float, float, float | None]":
+        """The declared ``(rate, burst, slo_s)``: what the table keeps."""
+        return self.rate, self.burst, self.slo_s
+
     def reconfigure(self, rate: float, burst: float, *, slo_s: "float | None" = None) -> None:
         """Re-registration updates the envelope in place (credit preserved)."""
         self.rate = float(rate)
@@ -89,13 +111,23 @@ class Tenant:
 class TenantRegistry:
     """The router's tenant table plus the aggregate/residual NC math.
 
-    The clock is injectable (shared by every tenant bucket) so the
-    property tests can drive token refill deterministically.
+    ``path`` makes the table durable (see the module docstring); without
+    it the table lives in memory only.  The clock is injectable (shared
+    by every tenant bucket) so the property tests can drive token refill
+    deterministically.
     """
 
-    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(
+        self,
+        path: "str | Path | None" = None,
+        *,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         self._clock = clock
         self._tenants: dict[str, Tenant] = {}
+        self.path = None if path is None else Path(path)
+        if self.path is not None and self.path.exists():
+            self._load()
 
     # ------------------------------------------------------------------ #
     # registration
@@ -104,9 +136,24 @@ class TenantRegistry:
     def register(
         self, name: str, rate: float, burst: float, *, slo_s: "float | None" = None
     ) -> Tenant:
-        """Register (or re-register, updating the envelope in place)."""
-        if rate <= 0 or burst <= 0:
-            raise ValueError(f"tenant {name!r}: rate and burst must be > 0")
+        """Register (or re-register, updating the envelope in place).
+
+        With a path, the table is on disk before the envelope changes
+        here; a registration that changes nothing writes nothing.
+        """
+        envelope = _envelope(name, rate, burst, slo_s)
+        tenant = self._tenants.get(name)
+        if tenant is not None and tenant.envelope == envelope:
+            return tenant
+        if self.path is not None:
+            table = {t.name: t.envelope for t in self._tenants.values()}
+            table[name] = envelope
+            self._write(table)
+        return self._put(name, envelope)
+
+    def _put(self, name: str, envelope: "tuple[float, float, float | None]") -> Tenant:
+        """Set ``name``'s envelope in memory (bucket credit preserved)."""
+        rate, burst, slo_s = envelope
         tenant = self._tenants.get(name)
         if tenant is None:
             tenant = Tenant(name, rate, burst, slo_s=slo_s, clock=self._clock)
@@ -114,6 +161,33 @@ class TenantRegistry:
         else:
             tenant.reconfigure(rate, burst, slo_s=slo_s)
         return tenant
+
+    def _write(self, table: "dict[str, tuple[float, float, float | None]]") -> None:
+        lines = [
+            json.dumps(
+                {"seq": seq, "tenant": name, "rate": rate, "burst": burst, "slo_s": slo_s},
+                sort_keys=True,
+            ) + "\n"
+            for seq, (name, (rate, burst, slo_s)) in enumerate(table.items(), start=1)
+        ]
+        atomic_write_text(self.path, "".join(lines), durable=True)
+
+    def _load(self) -> None:
+        text = self.path.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                name = record["tenant"]
+                envelope = _envelope(name, record["rate"], record["burst"], record["slo_s"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"tenant table {self.path}: line {lineno} is not a tenant "
+                    f"record ({type(exc).__name__}: {exc}); the file is written "
+                    "atomically, so it was edited or truncated by hand"
+                ) from exc
+            self._put(name, envelope)
 
     def get(self, name: str) -> "Tenant | None":
         return self._tenants.get(name)
@@ -228,3 +302,12 @@ class TenantRegistry:
                 agg["stable"] = not math.isinf(bound)
             out["aggregate"] = agg
         return out
+
+
+def _envelope(
+    name: str, rate: float, burst: float, slo_s: "float | None"
+) -> "tuple[float, float, float | None]":
+    """A validated ``(rate, burst, slo_s)`` in the types the table keeps."""
+    if rate <= 0 or burst <= 0:
+        raise ValueError(f"tenant {name!r}: rate and burst must be > 0")
+    return float(rate), float(burst), None if slo_s is None else float(slo_s)

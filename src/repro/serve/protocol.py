@@ -26,7 +26,10 @@ Response document::
 
 ``status`` follows HTTP semantics (400 malformed, 408 timeout, 413
 oversize, 422 evaluation failed, 429 admission-rejected, 500 internal,
-503 draining) without dragging in an HTTP stack.
+503 draining) without dragging in an HTTP stack.  A refused frame's
+answer carries the frame's ``id`` when the frame is a JSON object whose
+``id`` is a string or an integer, whatever else is wrong with it, and
+``null`` otherwise.
 
 Validation is strict and reuses :mod:`repro._validation`: unknown keys,
 wrong types, and non-finite numbers are rejected with a 400 before any
@@ -92,12 +95,14 @@ _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
 class ProtocolError(ValueError):
-    """A request the server refuses before doing any work."""
+    """A request the server refuses before doing any work; ``req_id`` is
+    the frame's own ``id`` when it is readable, for the answer to echo."""
 
     def __init__(self, message: str, *, status: int = 400, code: str = "bad_request") -> None:
         super().__init__(message)
         self.status = status
         self.code = code
+        self.req_id: "str | int | None" = None
 
 
 @dataclass(frozen=True)
@@ -248,6 +253,20 @@ def parse_request(line: "str | bytes") -> Request:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError(f"request must be a JSON object, got {type(doc).__name__}")
+    req_id = doc.get("id")
+    if req_id is not None and (
+        isinstance(req_id, bool) or not isinstance(req_id, (str, int))
+    ):
+        raise ProtocolError("'id' must be a string or integer")
+    try:
+        return _request(doc, req_id)
+    except ProtocolError as exc:
+        exc.req_id = req_id
+        raise
+
+
+def _request(doc: dict[str, Any], req_id: "str | int | None") -> Request:
+    """Validate the fields of a request object whose ``id`` is readable."""
     unknown = set(doc) - _REQUEST_KEYS
     if unknown:
         raise ProtocolError(f"unknown request key(s) {sorted(unknown)}")
@@ -258,11 +277,6 @@ def parse_request(line: "str | bytes") -> Request:
             f"v{PROTOCOL_VERSION})",
             code="bad_version",
         )
-    req_id = doc.get("id")
-    if req_id is not None and (
-        isinstance(req_id, bool) or not isinstance(req_id, (str, int))
-    ):
-        raise ProtocolError("'id' must be a string or integer")
     op = doc.get("op")
     if op not in OPS:
         raise ProtocolError(f"unknown op {op!r} (expected one of {', '.join(OPS)})",

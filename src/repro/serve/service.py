@@ -195,7 +195,9 @@ class NdjsonService:
         try:
             req = parse_request(line)
         except ProtocolError as exc:
-            response = error_response(None, status=exc.status, code=exc.code, message=str(exc))
+            response = error_response(
+                exc.req_id, status=exc.status, code=exc.code, message=str(exc)
+            )
         else:
             try:
                 response = await self._dispatch(req, line)

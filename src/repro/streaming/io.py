@@ -85,11 +85,22 @@ def pipeline_to_dict(pipeline: Pipeline) -> dict[str, Any]:
     }
 
 
+def _check_fields(value: Any, what: str, required: "set[str]") -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` is an object
+    holding every ``required`` key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    missing = required - set(value)
+    if missing:
+        raise ValueError(f"{what} missing {sorted(missing)}")
+
+
 def pipeline_from_dict(data: dict[str, Any]) -> Pipeline:
     """Rebuild a pipeline from :func:`pipeline_to_dict` output.
 
-    Validates the schema strictly: missing required keys or unknown
-    stage keys raise ``ValueError`` with the offending field named.
+    Validates the schema strictly: missing required keys, a source,
+    stage list or stage of the wrong type, or unknown stage keys raise
+    ``ValueError`` with the offending field named.
     """
     try:
         name = data["name"]
@@ -97,21 +108,23 @@ def pipeline_from_dict(data: dict[str, Any]) -> Pipeline:
         stage_entries = data["stages"]
     except KeyError as exc:
         raise ValueError(f"pipeline document missing key {exc.args[0]!r}") from exc
+    _check_fields(src, "source", {"rate"})
     source = Source(
         rate=float(src["rate"]),
         burst=float(src.get("burst", 0.0)),
         packet_bytes=float(src.get("packet_bytes", 1.0)),
     )
+    if not isinstance(stage_entries, list):
+        raise ValueError(f"stages must be a list, got {type(stage_entries).__name__}")
     stages = []
     for entry in stage_entries:
-        keys = set(entry)
-        missing = _STAGE_REQUIRED - keys
-        if missing:
-            raise ValueError(f"stage entry missing {sorted(missing)}")
-        unknown = keys - _STAGE_REQUIRED - _STAGE_OPTIONAL
+        _check_fields(entry, "stage entry", _STAGE_REQUIRED)
+        unknown = set(entry) - _STAGE_REQUIRED - _STAGE_OPTIONAL
         if unknown:
             raise ValueError(f"stage {entry.get('name')!r}: unknown fields {sorted(unknown)}")
         vr = entry.get("volume_ratio")
+        if vr:
+            _check_fields(vr, f"stage {entry['name']!r} volume_ratio", {"best", "avg", "worst"})
         kwargs: dict[str, Any] = dict(
             name=entry["name"],
             avg_rate=float(entry["avg_rate"]),

@@ -100,11 +100,6 @@ class SystemModel:
         """End-to-end arrival curve ``R_source * t + effective burst``."""
         return leaky_bucket(self.pipeline.source.rate, self.effective_burst)
 
-    @cached_property
-    def alpha_source(self) -> Curve:
-        """The raw source arrival curve (no aggregation burst)."""
-        return self.pipeline.source.arrival_curve()
-
     # ------------------------------------------------------------------ #
     # system curves
     # ------------------------------------------------------------------ #

@@ -90,10 +90,5 @@ class KmerTable:
         idx = np.clip(idx, 0, len(keys) - 1)
         return keys[idx] == values
 
-    @property
-    def n_distinct(self) -> int:
-        """Number of distinct k-mers in the query."""
-        return len(self._table)
-
     def __len__(self) -> int:
         return len(self._table)

@@ -16,9 +16,8 @@ commit fsyncs, so a host crash may lose the last puts — an accelerator,
 not durable state.  A busy timeout makes concurrent processes (parallel
 sweeps, shards, overlapping CI jobs) wait for SQLite's own lock rather
 than fail, and readers never see a half-written value.  One lock
-serializes the threads of a process over the connection and the
-hit/miss counters.  WAL needs shared memory, so the directory must be
-on a local filesystem.
+serializes the threads of a process over the connection.  WAL needs
+shared memory, so the directory must be on a local filesystem.
 
 ``sqlite3`` is imported, and the file opened, on first use: processes
 that never touch a cache do not load it, and a pool worker never uses
@@ -153,8 +152,6 @@ class ResultCache:
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
         self._lock = threading.Lock()
         self._db: Any = None
 
@@ -179,9 +176,7 @@ class ResultCache:
             except (TypeError, ValueError):
                 result = None
             if isinstance(result, dict):
-                self.hits += 1
                 return result
-            self.misses += 1
             return None
 
     def put(self, key: str, result: Mapping[str, Any]) -> None:
@@ -202,8 +197,7 @@ class ResultCache:
         """Size and age accounting for the store, in one query.
 
         ``bytes`` counts the stored JSON values; ages are measured from
-        entry mtimes; session hit/miss counters ride along (zeros for a
-        cache object that has not served this process yet).
+        entry mtimes.
         """
         now = time.time()
         with self._lock:
@@ -211,15 +205,12 @@ class ResultCache:
                 "SELECT count(*), total(length(value)), min(mtime), max(mtime) "
                 "FROM entries"
             ).fetchone()
-            hits, misses = self.hits, self.misses
         return {
             "directory": str(self.directory),
             "entries": entries,
             "bytes": int(total_bytes),
             "oldest_age_s": None if oldest is None else max(0.0, now - oldest),
             "newest_age_s": None if newest is None else max(0.0, now - newest),
-            "hits": hits,
-            "misses": misses,
         }
 
     def prune(self, *, max_age_s: "float | None" = None) -> int:

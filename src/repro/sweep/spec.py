@@ -180,11 +180,13 @@ class SweepSpec:
         if self.workload is not None:
             check_positive("workload", self.workload)
         # validate stage-suffixed axes against the base pipeline now,
-        # not at point-evaluation time inside a worker
-        stage_names = {s["name"] for s in self.base["stages"]}
-        for a in self.axes:
-            kind, _, stage = a.name.partition(":")
-            if kind in _STAGE_AXES and stage not in stage_names:
+        # not at point-evaluation time inside a worker; a spec without
+        # them leaves every check of the document to the parser
+        stage_axes = [a for a in self.axes if a.name.partition(":")[0] in _STAGE_AXES]
+        stage_names = {s["name"] for s in self.base["stages"]} if stage_axes else set()
+        for a in stage_axes:
+            stage = a.name.partition(":")[2]
+            if stage not in stage_names:
                 raise ValueError(
                     f"axis {a.name!r}: no stage named {stage!r} in pipeline "
                     f"{self.base.get('name')!r}"

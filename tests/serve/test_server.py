@@ -19,6 +19,25 @@ from repro.streaming import pipeline_to_dict
 
 MODEL = pipeline_to_dict(blast_pipeline())
 
+_STAGE = {"name": "a", "avg_rate": 1.0}
+#: model documents of the wrong shape and the parser's error for each
+MALFORMED_MODELS = [
+    ({"name": "x", "source": {"rate": 1.0}},
+     "ValueError: pipeline document missing key 'stages'"),
+    ({"name": "x", "source": {"rate": 1.0}, "stages": [{"avg_rate": 1.0}]},
+     "ValueError: stage entry missing ['name']"),
+    ({"name": "x", "source": {"rate": 1.0}, "stages": ["abc"]},
+     "ValueError: stage entry must be an object, got str"),
+    ({"name": "x", "source": {}, "stages": [_STAGE]},
+     "ValueError: source missing ['rate']"),
+    ({"name": "x", "source": 3, "stages": [_STAGE]},
+     "ValueError: source must be an object, got int"),
+    ({"name": "x", "source": {"rate": 1.0}, "stages": 3},
+     "ValueError: stages must be a list, got int"),
+    ({"name": "x", "source": {"rate": 1.0}, "stages": [dict(_STAGE, volume_ratio=2)]},
+     "ValueError: stage 'a' volume_ratio must be an object, got int"),
+]
+
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
@@ -92,6 +111,15 @@ class TestOps:
         assert resp["status"] == 422
         assert resp["error"]["code"] == "evaluation_error"
         assert resp["error"]["message"].startswith("ValueError: unknown axis 'foo'")
+
+    @pytest.mark.parametrize("model,error", MALFORMED_MODELS, ids=lambda v: str(v)[:40])
+    def test_malformed_model_gets_the_parsers_error(self, client, model, error):
+        options = {"simulate": False, "packetized": False, "workload": None,
+                   "base_seed": 42}
+        assert evaluate_point(model, {}, options, 7)["error"] == error
+        resp = client.analyze(model)
+        assert (resp["status"], resp["error"]["code"]) == (422, "evaluation_error")
+        assert resp["error"]["message"] == error
 
     def test_malformed_line_is_400_and_keeps_connection(self, client):
         client._file.write(b"this is not json\n")

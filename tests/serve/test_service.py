@@ -7,7 +7,8 @@ only shard address is dead (ping, stats and capacity need no shard).
 
 Invariants: exactly one answer per non-blank line, in order; every
 answer is a JSON object with ``ok`` and ``status`` that echoes the id of
-a valid request; a hostile frame gets a 400 and the connection goes on;
+a valid request, and of a refused one whose id is readable; a hostile
+frame gets a 400 and the connection goes on;
 an overrun line gets one 413 and then EOF; in-flight returns to 0 after
 every client, and a new ping still works.  The drain cases each get a
 fresh instance, since a drain ends it.
@@ -151,6 +152,23 @@ class TestFrames:
                 assert doc["ok"] and doc["id"] == frame_id
             elif kind == "hostile":
                 assert doc["status"] == 400 and doc["id"] is None
+        _settles(service)
+
+    def test_a_readable_id_comes_back_on_a_400(self, service):
+        frames = [
+            (b'{"op":"frobnicate","id":"r1"}', "r1"),
+            (b'{"op":"ping","id":2,"extra":1}', 2),
+            (b'{"op":"ping","id":"r3","v":2}', "r3"),
+            (b'{"op":"analyze","id":"r4","params":{"x":1}}', "r4"),  # no model
+            (b'{"op":"ping","id":true}', None),  # not a valid id
+            (b'{"op":"ping","id":["r6"]}', None),
+            (b'{"op":"ping","id":"r7"', None),  # not JSON
+        ]
+        received = _exchange(service, b"".join(frame + b"\n" for frame, _ in frames))
+        answers = [json.loads(line) for line in received.splitlines()]
+        assert [(doc["status"], doc["id"]) for doc in answers] == [
+            (400, frame_id) for _, frame_id in frames
+        ]
         _settles(service)
 
     def test_oversize_line_gets_one_413_then_eof(self, service):
