@@ -8,14 +8,12 @@ essential when model parameters are read from measurement files.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 __all__ = [
     "check_finite",
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_type",
 ]
 
 
@@ -58,15 +56,3 @@ def check_in_range(
         if not (lo < v < hi):
             raise ValueError(f"{name} must be in ({lo}, {hi}), got {value!r}")
     return v
-
-
-def check_type(name: str, value: Any, types: type | tuple[type, ...]) -> Any:
-    """Ensure ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        expected = (
-            types.__name__
-            if isinstance(types, type)
-            else " | ".join(t.__name__ for t in types)
-        )
-        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")
-    return value

@@ -48,9 +48,9 @@ from .chaos import ChaosReport, FaultEvent, chaos_schedule, run_chaos, tenant_ta
 from .loadgen import ReplayReport, ScheduledRequest, build_schedule, replay
 from .orchestrator import Cluster, ClusterConfig, ClusterThread, run
 from .ring import HashRing
-from .router import ClusterRouter, RouterConfig, ShardDown, ShardLink
+from .router import ClusterRouter, ShardDown, ShardLink
 from .shards import ShardProcess
-from .supervisor import ShardSupervisor, SupervisorConfig
+from .supervisor import ShardSupervisor
 from .tenants import Tenant, TenantRegistry
 
 __all__ = [
@@ -69,12 +69,10 @@ __all__ = [
     "run",
     "HashRing",
     "ClusterRouter",
-    "RouterConfig",
     "ShardDown",
     "ShardLink",
     "ShardProcess",
     "ShardSupervisor",
-    "SupervisorConfig",
     "Tenant",
     "TenantRegistry",
 ]

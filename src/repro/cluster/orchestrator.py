@@ -38,9 +38,9 @@ from typing import Any
 from ..serve.engine import ServeConfig
 from ..serve.protocol import PROTOCOL_VERSION
 from ..serve.service import ServiceThread, drained_line, run_service
-from .router import ClusterRouter, RouterConfig
+from .router import ClusterRouter
 from .shards import ShardProcess
-from .supervisor import ShardSupervisor, SupervisorConfig
+from .supervisor import ShardSupervisor
 from .tenants import TenantRegistry
 
 __all__ = ["ClusterConfig", "Cluster", "ClusterThread", "run"]
@@ -92,20 +92,6 @@ class ClusterConfig:
             name=name,
         )
 
-    def router_config(self) -> RouterConfig:
-        return RouterConfig(
-            host=self.host,
-            port=self.port,
-            forward_timeout_s=self.request_timeout_s + 30.0,
-            drain_timeout_s=self.drain_timeout_s,
-        )
-
-    def supervisor_config(self) -> SupervisorConfig:
-        return SupervisorConfig(
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            probe_timeout_s=self.probe_timeout_s,
-        )
-
     def journal_file(self) -> "str | None":
         if self.journal_path is not None:
             return self.journal_path
@@ -154,7 +140,10 @@ class Cluster:
                 (shard.name, host, port)
                 for shard, (host, port) in zip(self.shards, endpoints)
             ],
-            cfg.router_config(),
+            host=cfg.host,
+            port=cfg.port,
+            forward_timeout_s=cfg.request_timeout_s + 30.0,
+            drain_timeout_s=cfg.drain_timeout_s,
             registry=registry,
         )
         self.host, self.port = await self.router.start()
@@ -162,7 +151,8 @@ class Cluster:
             self.supervisor = ShardSupervisor(
                 self.shards,
                 self.router,
-                cfg.supervisor_config(),
+                heartbeat_interval_s=cfg.heartbeat_interval_s,
+                probe_timeout_s=cfg.probe_timeout_s,
                 rng=random.Random(cfg.supervisor_seed),
             )
             self.supervisor.start()

@@ -58,7 +58,6 @@ import contextlib
 import json
 import math
 import time
-from dataclasses import dataclass
 from typing import Any
 
 from .. import __version__
@@ -66,6 +65,7 @@ from ..nc.builders import rate_latency
 from ..nc.curve import Curve
 from ..sweep.cache import point_key
 from ..telemetry.metrics import MetricsRegistry
+from ..serve.admission import count_rejection
 from ..serve.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -78,17 +78,7 @@ from ..serve.service import NdjsonService
 from .ring import HashRing
 from .tenants import TenantRegistry
 
-__all__ = ["RouterConfig", "ShardDown", "ShardLink", "ClusterRouter"]
-
-
-@dataclass
-class RouterConfig:
-    """Router-side knobs (shard knobs live in each shard's ServeConfig)."""
-
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral
-    forward_timeout_s: float = 60.0
-    drain_timeout_s: float = 10.0
+__all__ = ["ShardDown", "ShardLink", "ClusterRouter"]
 
 
 class ShardDown(ConnectionError):
@@ -180,24 +170,31 @@ class ShardLink:
 
 
 class ClusterRouter(NdjsonService):
-    """The listener that fronts the shard set."""
+    """The listener that fronts the shard set.
+
+    ``port`` 0 binds an ephemeral port; ``forward_timeout_s`` bounds
+    every exchange with a shard (shard knobs live in each shard's
+    ServeConfig).
+    """
 
     prefix = "cluster"
 
     def __init__(
         self,
         shards: "list[tuple[str, str, int]]",
-        config: "RouterConfig | None" = None,
         *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        forward_timeout_s: float = 60.0,
+        drain_timeout_s: float = 10.0,
         registry: "TenantRegistry | None" = None,
     ) -> None:
         if not shards:
             raise ValueError("ClusterRouter needs at least one shard")
-        self.config = config if config is not None else RouterConfig()
         super().__init__(
-            self.config.host, self.config.port,
-            drain_timeout_s=self.config.drain_timeout_s, metrics=MetricsRegistry(),
+            host, port, drain_timeout_s=drain_timeout_s, metrics=MetricsRegistry(),
         )
+        self.forward_timeout_s = forward_timeout_s
         self.links = {
             name: self._make_link(name, host, port) for name, host, port in shards
         }
@@ -234,7 +231,11 @@ class ClusterRouter(NdjsonService):
     # ------------------------------------------------------------------ #
 
     async def refresh_beta(self) -> "Curve | None":
-        """Roll the live shards' capacity into one cluster service curve.
+        """Ask every live shard for its capacity and roll it up (:meth:`_roll_up`)."""
+        return self._roll_up(await self._fan_out("capacity"))
+
+    def _roll_up(self, reports: dict[str, Any]) -> "Curve | None":
+        """Roll the shards' ``capacity`` answers into one cluster service curve.
 
         A shard contributes its *admission envelope* rate when one is
         configured (traffic beyond that is 429'd by the shard itself,
@@ -243,7 +244,6 @@ class ClusterRouter(NdjsonService):
         shard's dispatch latency.  ``beta(t) = (sum R_i)(t - max T_i)``
         — the parallel-server aggregation the scale benchmark measures.
         """
-        reports = await self._fan_out("capacity")
         rates: list[float] = []
         latencies: list[float] = [0.0]
         per_shard: dict[str, Any] = {}
@@ -302,13 +302,12 @@ class ClusterRouter(NdjsonService):
     # ------------------------------------------------------------------ #
 
     def _make_link(self, name: str, host: str, port: int) -> ShardLink:
-        return ShardLink(name, host, port, timeout_s=self.config.forward_timeout_s)
+        return ShardLink(name, host, port, timeout_s=self.forward_timeout_s)
 
     def _mark_down(self, name: str) -> None:
         if name not in self.down:
             self.down.add(name)
             self.ring_epoch += 1
-            self.metrics.counter("cluster.shards_lost").inc()
             # admission must retighten against the *surviving* capacity:
             # with a stale (larger) beta the router would keep quoting
             # pre-failure bounds and over-admit into the degraded cluster
@@ -348,7 +347,6 @@ class ClusterRouter(NdjsonService):
             self.links[name] = self._make_link(name, host, port)
         self.down.discard(name)
         self.ring_epoch += 1
-        self.metrics.counter("cluster.shards_rejoined").inc()
         await self.refresh_beta()
 
     # ------------------------------------------------------------------ #
@@ -413,7 +411,7 @@ class ClusterRouter(NdjsonService):
 
     async def _capacity(self, req: Request) -> dict[str, Any]:
         reports = await self._fan_out("capacity")
-        await self.refresh_beta()
+        self._roll_up(reports)
         shards = {
             name: (doc.get("result") if isinstance(doc, dict) else None)
             for name, doc in reports.items()
@@ -458,16 +456,14 @@ class ClusterRouter(NdjsonService):
             self.metrics.counter(f"cluster.tenant.{req.tenant}.requests").inc()
         admitted, code, retry_after = self.registry.admit(req.tenant, beta=self.beta)
         if not admitted:
-            self.metrics.counter("cluster.rejected").inc()
-            if req.tenant is not None:
-                self.metrics.counter(f"cluster.tenant.{req.tenant}.rejected").inc()
+            count_rejection(self.metrics, self.prefix, code, req.tenant)
             bound = None
             if req.tenant is not None and self.beta is not None \
                     and self.registry.get(req.tenant) is not None:
                 b = self.registry.tenant_delay_bound(req.tenant, self.beta)
                 bound = None if math.isinf(b) else b
             return error_response(
-                req.id, status=429, code=code or "rejected",
+                req.id, status=429, code=code,
                 message="tenant admission rejected the request "
                 "(offered load exceeds the declared alpha or the tenant SLO)",
                 retry_after_s=retry_after,

@@ -37,14 +37,13 @@ import asyncio
 import contextlib
 import random
 import time
-from dataclasses import dataclass
 from typing import Any
 
 from ..serve.protocol import MAX_LINE_BYTES, PROTOCOL_VERSION, encode
 from .router import ClusterRouter
 from .shards import ShardProcess
 
-__all__ = ["SupervisorConfig", "ShardSupervisor"]
+__all__ = ["ShardSupervisor"]
 
 #: per-shard lifecycle states surfaced in ``/stats``
 UP = "up"
@@ -61,28 +60,26 @@ BACKOFF_BASE_S = 0.25
 BACKOFF_CAP_S = 8.0
 
 
-@dataclass
-class SupervisorConfig:
-    """Supervision knobs (defaults favor fast recovery on small clusters)."""
-
-    heartbeat_interval_s: float = 2.0
-    probe_timeout_s: float = 1.0
-
-
 class ShardSupervisor:
-    """Health-checks shard processes and heals the router's membership."""
+    """Health-checks shard processes and heals the router's membership.
+
+    The defaults of ``heartbeat_interval_s`` and ``probe_timeout_s``
+    favor fast recovery on small clusters.
+    """
 
     def __init__(
         self,
         shards: "list[ShardProcess]",
         router: ClusterRouter,
-        config: "SupervisorConfig | None" = None,
         *,
+        heartbeat_interval_s: float = 2.0,
+        probe_timeout_s: float = 1.0,
         rng: "random.Random | None" = None,
     ) -> None:
         self.shards = {shard.name: shard for shard in shards}
         self.router = router
-        self.config = config if config is not None else SupervisorConfig()
+        self.heartbeat_interval_s = heartbeat_interval_s
+        self.probe_timeout_s = probe_timeout_s
         self._rng = rng if rng is not None else random.Random()
         self.states = {name: UP for name in self.shards}
         self.restarts = {name: 0 for name in self.shards}
@@ -119,7 +116,7 @@ class ShardSupervisor:
     async def _run(self) -> None:
         while True:
             await self._tick()
-            await asyncio.sleep(self.config.heartbeat_interval_s)
+            await asyncio.sleep(self.heartbeat_interval_s)
 
     # ------------------------------------------------------------------ #
     # one heartbeat round
@@ -170,7 +167,7 @@ class ShardSupervisor:
 
     async def _probe_endpoint(self, host: str, port: int) -> bool:
         """One ping over a fresh connection, bounded by probe_timeout_s."""
-        timeout = self.config.probe_timeout_s
+        timeout = self.probe_timeout_s
         writer = None
         try:
             reader, writer = await asyncio.wait_for(
@@ -236,7 +233,7 @@ class ShardSupervisor:
     def snapshot(self) -> dict[str, Any]:
         """The ``/stats`` supervisor block."""
         return {
-            "heartbeat_interval_s": self.config.heartbeat_interval_s,
+            "heartbeat_interval_s": self.heartbeat_interval_s,
             "restarts_total": sum(self.restarts.values()),
             "shards": {
                 name: {

@@ -59,7 +59,7 @@ __all__ = ["Tenant", "TenantRegistry"]
 
 
 class Tenant:
-    """One tenant's declared envelope, enforcing bucket, and counters."""
+    """One tenant's declared envelope and the bucket that enforces it."""
 
     def __init__(
         self,
@@ -75,9 +75,6 @@ class Tenant:
         self.burst = float(burst)
         self.slo_s = slo_s
         self.bucket = TokenBucket(self.rate, self.burst, clock=clock)
-        self.admitted = 0
-        self.rejected_rate = 0
-        self.rejected_slo = 0
 
     @property
     def envelope(self) -> "tuple[float, float, float | None]":
@@ -102,9 +99,6 @@ class Tenant:
             "burst_requests": self.burst,
             "slo_s": self.slo_s,
             "tokens_available": self.bucket.level(),
-            "admitted": self.admitted,
-            "rejected_rate": self.rejected_rate,
-            "rejected_slo": self.rejected_slo,
         }
 
 
@@ -222,12 +216,9 @@ class TenantRegistry:
         if tenant.slo_s is not None and beta is not None:
             bound = self.tenant_delay_bound(name, beta)
             if bound > tenant.slo_s * (1.0 + 1e-9):
-                tenant.rejected_slo += 1
                 return False, "rejected_slo", tenant.bucket.time_until()
         if not tenant.bucket.try_acquire():
-            tenant.rejected_rate += 1
             return False, "rejected_rate", tenant.bucket.time_until()
-        tenant.admitted += 1
         return True, None, 0.0
 
     # ------------------------------------------------------------------ #

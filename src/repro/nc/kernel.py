@@ -201,7 +201,10 @@ def _deconvolve_rl(f: Curve, rate: float, latency: float) -> Curve | None:
             c_f = s - k * x
             xc = (c_f - c_r) / (rate - k)
             if x < xc < xn:
-                yc = rate * xc + c_r
+                # a rounded xc left of the true crossing puts the R-line
+                # up to rate*ulp(xc) below f's segment: take the higher,
+                # as the generic's settled handover does
+                yc = max(k * xc + c_f, rate * xc + c_r)
                 out.append((xc, yc, yc, rate))
                 anchors.append((xn, b))
             slope, anchor = (rate, (xn, b)) if xc <= x else (k, (x, s))

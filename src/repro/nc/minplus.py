@@ -285,4 +285,6 @@ def _deconvolve_generic(f: Curve, g: Curve) -> Curve:
     pg, sg = g.pieces()
     pts, raw = _deconv_pairs(pf, sf, pg, sg)
     c_pts, c_segs = _clip_to_nonnegative(pts, raw)
-    return _from_tiling(*envelope(c_pts, c_segs, lower=False))
+    # f (/) g >= f wherever g(0) = 0: where a steeper line takes over from
+    # one of f's, it must not undercut f by its slope times an ulp
+    return _from_tiling(*envelope(c_pts, c_segs, lower=False, settle_handovers=True))

@@ -22,7 +22,7 @@ pairwise piece combinations (see :mod:`repro.nc.minplus`).
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .tolerance import close
 
@@ -130,13 +130,20 @@ def upper_envelope_of_lines(
 
 
 def _hull_pieces_on(
-    hull: list[_Line], u: float, v: float
+    hull: list[_Line],
+    u: float,
+    v: float,
+    settle: Callable[[float, float], float] | None = None,
 ) -> list[tuple[float, float, float, float]]:
     """Clip an ordered line hull to the open interval ``(u, v)``.
 
     Returns segments ``(x0, x1, y0_right_limit, slope)`` tiling ``(u, v)``.
     ``hull`` must be ordered by activity along increasing ``x`` (as
     produced by the envelope-of-lines helpers); ``v`` may be ``inf``.
+    A piece starting at a handover takes the entering line's value
+    there, or with ``settle`` (``min`` or ``max``) that of the leaving
+    and the entering line's values: both lines are active at the
+    handover, and its rounded abscissa may sit off their true crossing.
     """
     if not hull:
         return []
@@ -152,7 +159,10 @@ def _hull_pieces_on(
         a = max(lo, u)
         b = min(hi, v)
         if b > a:
-            out.append((a, b, line.at(a), line.m))
+            y0 = line.at(a)
+            if settle is not None and a > u:
+                y0 = settle(hull[i - 1].at(a), y0)
+            out.append((a, b, y0, line.m))
         lo = hi
         if lo >= v:
             break
@@ -165,6 +175,7 @@ def envelope(
     *,
     lower: bool = True,
     fill_holes: bool = False,
+    settle_handovers: bool = False,
 ) -> tuple[list[Point], list[Segment]]:
     """Exact pointwise lower/upper envelope of a bag of pieces.
 
@@ -179,6 +190,10 @@ def envelope(
     no defined piece takes the min (resp. max) of the adjacent segment
     limits — convolution/deconvolution piece bags are hole-free by
     construction, so this is a defensive option only.
+
+    ``settle_handovers`` values a handover between two hull lines inside
+    an elementary interval at the min (resp. max) of both lines there
+    instead of at the entering line alone.
 
     Returns ``(points, segments)`` with ``len(points) == len(segments)``
     and ``segments[i]`` spanning ``(points[i].x, points[i+1].x)`` (the
@@ -223,7 +238,9 @@ def envelope(
         hull = (
             lower_envelope_of_lines(lines) if lower else upper_envelope_of_lines(lines)
         )
-        env_segments_per_interval.append(_hull_pieces_on(hull, u, v))
+        env_segments_per_interval.append(
+            _hull_pieces_on(hull, u, v, best if settle_handovers else None)
+        )
 
     # ---- values at grid points ------------------------------------------
     for gi, x in enumerate(grid):

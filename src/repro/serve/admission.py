@@ -22,21 +22,33 @@ can derive the largest admissible envelope
 currently-configured envelope would violate the SLO under the
 currently-calibrated service curve — the ``/capacity`` response exposes
 the whole computation.
+
+This module is also the one place an admission outcome is counted and
+reported.  A verdict carries no side count: the host that answers a 429
+counts it in its metrics registry with :func:`count_rejection`, and
+:func:`capacity_report` builds the ``/capacity`` body for a shard with
+or without an envelope.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .._validation import check_non_negative, check_positive
 from ..nc.bounds import affine_backlog_bound, affine_delay_bound
-from ..nc.builders import leaky_bucket, rate_latency
-from ..nc.curve import Curve
-from ..nc.kernel import eval_batch
 
-__all__ = ["TokenBucket", "SelfModel", "AdmissionController"]
+if TYPE_CHECKING:  # pragma: no cover
+    from ..telemetry.metrics import MetricsRegistry
+
+__all__ = [
+    "TokenBucket",
+    "SelfModel",
+    "AdmissionController",
+    "capacity_report",
+    "count_rejection",
+]
 
 
 class TokenBucket:
@@ -98,10 +110,6 @@ class TokenBucket:
         self.burst = check_positive("burst", burst)
         self._tokens = min(self._tokens, self.burst)
 
-    def arrival_curve(self) -> Curve:
-        """The enforced envelope as an NC curve (requests over time)."""
-        return leaky_bucket(self.rate, self.burst)
-
 
 class SelfModel:
     """The server's rate-latency service curve, from observed service times.
@@ -145,12 +153,6 @@ class SelfModel:
         if not self.calibrated:
             return math.inf
         return self.workers / self.mean_service_s
-
-    def service_curve(self) -> Curve:
-        """``beta(t) = R_beta * (t - T)`` as an NC curve."""
-        if not self.calibrated:
-            raise ValueError("self-model is uncalibrated: no service times observed")
-        return rate_latency(self.service_rate, self.dispatch_latency)
 
     def delay_bound(self, bucket: TokenBucket) -> float:
         """NC delay bound for ``bucket``-admitted traffic through this server.
@@ -223,10 +225,6 @@ class AdmissionController:
         #: a drifting service rate retightens the bucket instead of
         #: tripping ``rejected_slo``.
         self.auto_rate_fraction = auto_rate_fraction
-        self.admitted = 0
-        self.rejected_rate = 0
-        self.rejected_slo = 0
-        self.retightened = 0
 
     @classmethod
     def for_slo(
@@ -255,8 +253,7 @@ class AdmissionController:
                 f"slo {slo_s} s is not achievable: dispatch latency alone is "
                 f"{model.dispatch_latency} s"
             )
-        burst = max(1.0, (slo_s - model.dispatch_latency) * model.service_rate)
-        rate = rate_fraction * model.service_rate
+        rate, burst = _solve_envelope(model, slo_s, rate_fraction)
         return cls(
             TokenBucket(rate, burst, clock=clock),
             model,
@@ -275,12 +272,9 @@ class AdmissionController:
             return False
         if not self.model.calibrated or self.slo_s <= self.model.dispatch_latency:
             return False
-        burst = max(
-            1.0, (self.slo_s - self.model.dispatch_latency) * self.model.service_rate
+        self.bucket.reconfigure(
+            *_solve_envelope(self.model, self.slo_s, self.auto_rate_fraction)
         )
-        rate = self.auto_rate_fraction * self.model.service_rate
-        self.bucket.reconfigure(rate, burst)
-        self.retightened += 1
         return True
 
     def delay_bound(self) -> float:
@@ -303,60 +297,73 @@ class AdmissionController:
     def admit(self) -> "tuple[bool, str | None, float]":
         """``(admitted, reject_code, retry_after_s)`` for one request."""
         if not self.slo_ok() and not (self.retighten() and self.slo_ok()):
-            self.rejected_slo += 1
             return False, "rejected_slo", self.bucket.time_until()
         if not self.bucket.try_acquire():
-            self.rejected_rate += 1
             return False, "rejected_rate", self.bucket.time_until()
-        self.admitted += 1
         return True, None, 0.0
 
-    def capacity_report(self) -> dict[str, Any]:
-        """The full self-model: curves, bounds, SLO verdict, counters.
 
-        An auto envelope is synced to the current model first, so the
-        report describes what the *next* request will experience — not
-        an envelope the model has since drifted away from.
-        """
-        if not self.slo_ok():
-            self.retighten()
-        bound = self.delay_bound()
-        # sampled envelopes over a horizon that spans the interesting
-        # region (latency + burst drain), batched through the kernel
-        horizon = 2.0 * (
-            self.model.dispatch_latency
-            + self.bucket.burst / max(self.bucket.rate, 1e-9)
-        )
-        ts = [horizon * i / 7.0 for i in range(8)]
-        alpha_samples = eval_batch(self.bucket.arrival_curve(), ts)
-        beta_samples = eval_batch(self.model.service_curve(), ts)
-        return {
-            "arrival_curve": {
-                "kind": "leaky_bucket",
-                "rate_rps": self.bucket.rate,
-                "burst_requests": self.bucket.burst,
-                "tokens_available": self.bucket.level(),
-            },
-            "envelope_samples": {
-                "t_s": ts,
-                "arrival_requests": [float(v) for v in alpha_samples],
-                "service_requests": [float(v) for v in beta_samples],
-            },
-            "service_curve": {
-                "kind": "rate_latency",
-                **self.model.to_dict(),
-            },
-            "delay_bound_s": None if math.isinf(bound) else bound,
-            "stable": self.bucket.rate <= self.model.service_rate,
-            "backlog_bound_requests": (
-                None
-                if math.isinf(self.model.backlog_bound(self.bucket))
-                else self.model.backlog_bound(self.bucket)
-            ),
-            "slo_s": self.slo_s,
-            "slo_ok": self.slo_ok(),
-            "admitted": self.admitted,
-            "rejected_rate": self.rejected_rate,
-            "rejected_slo": self.rejected_slo,
-            "retightened": self.retightened,
-        }
+def _solve_envelope(
+    model: SelfModel, slo_s: float, rate_fraction: float
+) -> "tuple[float, float]":
+    """``(rate, burst)`` of the largest envelope whose bound meets ``slo_s``
+    (at least one request of burst; needs a calibrated model, ``slo_s > T``)."""
+    burst = max(1.0, (slo_s - model.dispatch_latency) * model.service_rate)
+    return rate_fraction * model.service_rate, burst
+
+
+def capacity_report(
+    model: SelfModel, admission: "AdmissionController | None"
+) -> dict[str, Any]:
+    """The ``/capacity`` body: the shard's NC self-model.
+
+    One key set whether an envelope is configured or not; an open-door
+    shard (``admission`` None) reports null for the envelope and for
+    every bound it implies.  An auto envelope is synced to the current
+    model first, so the report describes what the *next* request will
+    experience — not an envelope the model has since drifted away from.
+    """
+    report: dict[str, Any] = {
+        "arrival_curve": None,
+        "service_curve": {"kind": "rate_latency", **model.to_dict()},
+        "delay_bound_s": None,
+        "stable": None,
+        "backlog_bound_requests": None,
+        "slo_s": None,
+        "slo_ok": True,
+    }
+    if admission is None:
+        return report
+    if not admission.slo_ok():
+        admission.retighten()
+    bucket = admission.bucket
+    bound, backlog = model.delay_bound(bucket), model.backlog_bound(bucket)
+    report.update(
+        arrival_curve={
+            "kind": "leaky_bucket",
+            "rate_rps": bucket.rate,
+            "burst_requests": bucket.burst,
+            "tokens_available": bucket.level(),
+        },
+        delay_bound_s=None if math.isinf(bound) else bound,
+        stable=bucket.rate <= model.service_rate,
+        backlog_bound_requests=None if math.isinf(backlog) else backlog,
+        slo_s=admission.slo_s,
+        slo_ok=admission.slo_ok(),
+    )
+    return report
+
+
+def count_rejection(
+    metrics: "MetricsRegistry", prefix: str, code: str, tenant: "str | None"
+) -> None:
+    """Count one 429 in the answering host's registry, its only count.
+
+    ``<prefix>.rejected`` totals every rejection (the drain line reads
+    it), ``<prefix>.<code>`` counts it by reason, and a tenant's request
+    also counts under ``<prefix>.tenant.<tenant>.rejected``.
+    """
+    metrics.counter(f"{prefix}.rejected").inc()
+    metrics.counter(f"{prefix}.{code}").inc()
+    if tenant is not None:
+        metrics.counter(f"{prefix}.tenant.{tenant}.rejected").inc()

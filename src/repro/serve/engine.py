@@ -36,7 +36,13 @@ from typing import Any
 from ..telemetry.metrics import MetricsRegistry
 from ..sweep.cache import ResultCache, point_key
 from ..sweep.runner import evaluate_point, point_seed
-from .admission import AdmissionController, SelfModel, TokenBucket
+from .admission import (
+    AdmissionController,
+    SelfModel,
+    TokenBucket,
+    capacity_report,
+    count_rejection,
+)
 from .protocol import Request, error_response, ok_response
 
 __all__ = ["ServeConfig", "AnalysisEngine"]
@@ -243,13 +249,11 @@ class AnalysisEngine:
         if self.admission is not None:
             admitted, code, retry_after = self.admission.admit()
             if not admitted:
-                self.metrics.counter("serve.rejected").inc()
-                if req.tenant is not None:
-                    self.metrics.counter(f"serve.tenant.{req.tenant}.rejected").inc()
+                count_rejection(self.metrics, "serve", code, req.tenant)
                 return error_response(
                     req.id,
                     status=429,
-                    code=code or "rejected",
+                    code=code,
                     message="admission control rejected the request "
                     "(offered load exceeds the alpha envelope or the SLO)",
                     retry_after_s=retry_after,
@@ -311,23 +315,12 @@ class AnalysisEngine:
 
     def capacity(self, *, inflight: int, draining: bool) -> dict[str, Any]:
         """The shard's NC self-model (the ``/capacity`` response body)."""
-        if self.admission is not None:
-            report = self.admission.capacity_report()
-        else:
-            report = {
-                "arrival_curve": None,  # no envelope configured: open admission
-                "service_curve": {"kind": "rate_latency", **self.model.to_dict()},
-                "delay_bound_s": None,
-                "slo_s": None,
-                "slo_ok": True,
-                "admitted": None,
-                "rejected_rate": 0,
-                "rejected_slo": 0,
-            }
-        report["name"] = self.config.name
-        report["inflight"] = inflight
-        report["draining"] = draining
-        return report
+        return {
+            **capacity_report(self.model, self.admission),
+            "name": self.config.name,
+            "inflight": inflight,
+            "draining": draining,
+        }
 
     def stats(self, *, inflight: int) -> dict[str, Any]:
         """Counters, latency histograms and cache effectiveness."""

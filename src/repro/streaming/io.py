@@ -29,12 +29,18 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from .pipeline import Pipeline, Source
 from .stage import Stage, StageKind, VolumeRatio
 
-__all__ = ["pipeline_to_dict", "pipeline_from_dict", "save_pipeline", "load_pipeline"]
+__all__ = [
+    "check_document_shape",
+    "pipeline_to_dict",
+    "pipeline_from_dict",
+    "save_pipeline",
+    "load_pipeline",
+]
 
 _STAGE_OPTIONAL = {
     "min_rate",
@@ -95,6 +101,25 @@ def _check_fields(value: Any, what: str, required: "set[str]") -> None:
         raise ValueError(f"{what} missing {sorted(missing)}")
 
 
+def check_document_shape(data: Mapping[str, Any]) -> None:
+    """Raise the parser's ``ValueError`` unless ``data`` has the shape of a
+    pipeline document: its top-level keys, a source object with a rate, a
+    ``stages`` list, and each stage an object with its required keys.
+
+    Values are not parsed; a document that passes may still fail
+    :func:`pipeline_from_dict`.
+    """
+    for key in ("name", "source", "stages"):
+        if key not in data:
+            raise ValueError(f"pipeline document missing key {key!r}")
+    _check_fields(data["source"], "source", {"rate"})
+    stage_entries = data["stages"]
+    if not isinstance(stage_entries, list):
+        raise ValueError(f"stages must be a list, got {type(stage_entries).__name__}")
+    for entry in stage_entries:
+        _check_fields(entry, "stage entry", _STAGE_REQUIRED)
+
+
 def pipeline_from_dict(data: dict[str, Any]) -> Pipeline:
     """Rebuild a pipeline from :func:`pipeline_to_dict` output.
 
@@ -102,23 +127,15 @@ def pipeline_from_dict(data: dict[str, Any]) -> Pipeline:
     stage list or stage of the wrong type, or unknown stage keys raise
     ``ValueError`` with the offending field named.
     """
-    try:
-        name = data["name"]
-        src = data["source"]
-        stage_entries = data["stages"]
-    except KeyError as exc:
-        raise ValueError(f"pipeline document missing key {exc.args[0]!r}") from exc
-    _check_fields(src, "source", {"rate"})
+    check_document_shape(data)
+    src = data["source"]
     source = Source(
         rate=float(src["rate"]),
         burst=float(src.get("burst", 0.0)),
         packet_bytes=float(src.get("packet_bytes", 1.0)),
     )
-    if not isinstance(stage_entries, list):
-        raise ValueError(f"stages must be a list, got {type(stage_entries).__name__}")
     stages = []
-    for entry in stage_entries:
-        _check_fields(entry, "stage entry", _STAGE_REQUIRED)
+    for entry in data["stages"]:
         unknown = set(entry) - _STAGE_REQUIRED - _STAGE_OPTIONAL
         if unknown:
             raise ValueError(f"stage {entry.get('name')!r}: unknown fields {sorted(unknown)}")
@@ -144,7 +161,7 @@ def pipeline_from_dict(data: dict[str, Any]) -> Pipeline:
             kwargs["exec_time_min"] = float(entry["exec_time_min"])
             kwargs["exec_time_max"] = float(entry["exec_time_max"])
         stages.append(Stage(**kwargs))
-    return Pipeline(name, source, stages)
+    return Pipeline(data["name"], source, stages)
 
 
 def save_pipeline(pipeline: Pipeline, path: "str | Path") -> Path:

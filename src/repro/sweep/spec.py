@@ -53,6 +53,7 @@ from ..streaming import (
     pipeline_to_dict,
     scaled_stage,
 )
+from ..streaming.io import check_document_shape
 from ..streaming.normalization import SCENARIOS, check_scenario
 from ..streaming.simulation import check_queue_bounds
 from ..units import MiB
@@ -183,6 +184,8 @@ class SweepSpec:
         # not at point-evaluation time inside a worker; a spec without
         # them leaves every check of the document to the parser
         stage_axes = [a for a in self.axes if a.name.partition(":")[0] in _STAGE_AXES]
+        if stage_axes:
+            check_document_shape(self.base)
         stage_names = {s["name"] for s in self.base["stages"]} if stage_axes else set()
         for a in stage_axes:
             stage = a.name.partition(":")[2]

@@ -15,11 +15,6 @@ __all__ = [
     "KIB_PER_S",
     "MIB_PER_S",
     "GIB_PER_S",
-    "bytes_to_mib",
-    "bytes_to_kib",
-    "bytes_to_gib",
-    "rate_to_mib_s",
-    "rate_to_gib_s",
     "format_bytes",
     "format_rate",
     "format_seconds",
@@ -38,31 +33,6 @@ KIB_PER_S: float = KiB
 MIB_PER_S: float = MiB
 #: One GiB/s in bytes/s.
 GIB_PER_S: float = GiB
-
-
-def bytes_to_kib(n: float) -> float:
-    """Convert a byte count to KiB."""
-    return n / KiB
-
-
-def bytes_to_mib(n: float) -> float:
-    """Convert a byte count to MiB."""
-    return n / MiB
-
-
-def bytes_to_gib(n: float) -> float:
-    """Convert a byte count to GiB."""
-    return n / GiB
-
-
-def rate_to_mib_s(rate: float) -> float:
-    """Convert a rate in bytes/s to MiB/s."""
-    return rate / MIB_PER_S
-
-
-def rate_to_gib_s(rate: float) -> float:
-    """Convert a rate in bytes/s to GiB/s."""
-    return rate / GIB_PER_S
 
 
 def format_bytes(n: float, precision: int = 3) -> str:

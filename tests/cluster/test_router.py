@@ -20,7 +20,7 @@ from repro.cluster import (
     ClusterConfig,
     ClusterRouter,
     ClusterThread,
-    RouterConfig,
+    TenantRegistry,
     build_schedule,
     replay,
 )
@@ -326,7 +326,7 @@ class TestDownSet:
             bad = await _FakeShard(hang_up=frozenset({"analyze"})).start()
             router = ClusterRouter(
                 [("good", good.host, good.port), ("bad", bad.host, bad.port)],
-                RouterConfig(forward_timeout_s=10.0),
+                forward_timeout_s=10.0,
             )
             await router.start()
             link = router.links["bad"]
@@ -393,7 +393,7 @@ class TestDownSet:
             good, bad = await _FakeShard().start(), await _FakeShard().start()
             router = ClusterRouter(
                 [("good", good.host, good.port), ("bad", bad.host, bad.port)],
-                RouterConfig(forward_timeout_s=10.0),
+                forward_timeout_s=10.0,
             )
             try:
                 # runs after the fan-out has begun, before its asks start
@@ -405,5 +405,79 @@ class TestDownSet:
                 await router._release()
                 good.close()
                 bad.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+
+
+# --------------------------------------------------------------------- #
+# counting and reporting: each 429 counted once, in the registry
+# --------------------------------------------------------------------- #
+
+
+#: per-admission counter keys: the registry counts, no answer carries them
+COUNTER_KEYS = {"admitted", "rejected_rate", "rejected_slo", "retightened"}
+
+
+class TestRejectionCounts:
+    def test_each_rejection_is_counted_once_under_its_code(self, model):
+        async def scenario() -> None:
+            shard = await _FakeShard().start()
+            registry = TenantRegistry()
+            registry.register("tiny", 1.0, 1.0)
+            router = ClusterRouter([("only", shard.host, shard.port)], registry=registry)
+            await router.start()
+            try:
+                frame = {"v": 1, "op": "analyze", "model": model, "tenant": "tiny"}
+                assert (await _call(router, frame))["ok"]
+                past_burst = await _call(router, frame)
+                stranger = await _call(router, dict(frame, tenant="nobody"))
+                assert (past_burst["status"], past_burst["error"]["code"]) == (
+                    429, "rejected_rate")
+                assert (stranger["status"], stranger["error"]["code"]) == (
+                    429, "unknown_tenant")
+                metrics = (await _call(router, {"v": 1, "op": "stats"}))["result"]["router"]
+                counts = {
+                    name: metrics[name]["value"]
+                    for name in ("cluster.rejected", "cluster.rejected_rate",
+                                 "cluster.unknown_tenant", "cluster.tenant.tiny.rejected",
+                                 "cluster.tenant.nobody.rejected")
+                }
+                assert counts == {
+                    "cluster.rejected": 2, "cluster.rejected_rate": 1,
+                    "cluster.unknown_tenant": 1, "cluster.tenant.tiny.rejected": 1,
+                    "cluster.tenant.nobody.rejected": 1,
+                }
+                tenants = (await _call(router, {"v": 1, "op": "tenants"}))["result"]
+                registered = (await _call(router, {
+                    "v": 1, "op": "register_tenant", "tenant": "extra",
+                    "options": {"rate": 5.0, "burst": 2.0},
+                }))["result"]
+                for doc in [*tenants["tenants"], registered]:
+                    assert not COUNTER_KEYS & set(doc), doc
+            finally:
+                await router.drain()
+                shard.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+
+    def test_capacity_asks_each_live_shard_once(self):
+        async def scenario() -> None:
+            shards = [await _FakeShard().start() for _ in range(2)]
+            router = ClusterRouter(
+                [(f"s{i}", shard.host, shard.port) for i, shard in enumerate(shards)]
+            )
+            await router.start()
+            try:
+                before = [shard.frames.count("capacity") for shard in shards]
+                result = (await _call(router, {"v": 1, "op": "capacity"}))["result"]
+                asked = [s.frames.count("capacity") - b for s, b in zip(shards, before)]
+                assert asked == [1, 1]
+                # the roll-up came from that one fan-out
+                assert result["cluster_service_curve"]["rate_rps"] == 200.0
+                assert set(result["shards"]) == {"s0", "s1"}
+            finally:
+                await router.drain()
+                for shard in shards:
+                    shard.close()
 
         asyncio.run(asyncio.wait_for(scenario(), 30.0))

@@ -253,6 +253,21 @@ class TestRateLatencyForms:
         f = Curve([0.0, 1.0, 2.0], [1.0, 0.5, 3.0], [4.0, 2.0, 3.0], [-1.0, 1.0, 1.0])
         _check_against_exact(f, g)
 
+    @pytest.mark.parametrize(
+        "f, rate",
+        [
+            (Curve([0.0, 1.0, 129.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]), 510748.0),
+            (Curve([0.0, 257.0], [0.0, 0.0], [0.0, 2.75], [0.0, 0.0]), 41415.0),
+            (Curve([0.0, 185.0], [0.0, 0.185], [0.0, 0.685], [0.001, 0.0]), 38082.0),
+        ],
+        ids=["flat", "flat-far", "sloped"],
+    )
+    def test_steep_rate_handover_against_exact(self, f, rate):
+        # the R-line back from f's jump meets f's flatter piece at an
+        # abscissa that rounds left of the true crossing, where the
+        # R-line is rate*ulp below f: the ⊘ must not dip there
+        _check_against_exact(f, constant_rate(rate))
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.floats(min_value=1e-3, max_value=1e9),

@@ -5,7 +5,12 @@ import math
 import pytest
 
 from repro.nc.bounds import affine_delay_bound
-from repro.serve.admission import AdmissionController, SelfModel, TokenBucket
+from repro.serve.admission import (
+    AdmissionController,
+    SelfModel,
+    TokenBucket,
+    capacity_report,
+)
 
 
 class FakeClock:
@@ -48,13 +53,6 @@ class TestTokenBucket:
         bucket.try_acquire()
         assert bucket.time_until() == pytest.approx(0.25)
 
-    def test_arrival_curve_is_leaky_bucket(self):
-        bucket = TokenBucket(rate=5.0, burst=2.0, clock=FakeClock())
-        curve = bucket.arrival_curve()
-        # alpha(t) = R t + b for t > 0
-        assert curve(1.0) == pytest.approx(7.0)
-        assert curve(2.0) == pytest.approx(12.0)
-
     def test_reconfigure_clamps_tokens(self):
         clock = FakeClock()
         bucket = TokenBucket(rate=10.0, burst=100.0, clock=clock)
@@ -74,8 +72,6 @@ class TestSelfModel:
         model = SelfModel(workers=2)
         assert not model.calibrated
         assert model.service_rate == math.inf
-        with pytest.raises(ValueError, match="uncalibrated"):
-            model.service_curve()
         assert model.delay_bound(TokenBucket(1.0, 1.0, clock=FakeClock())) == math.inf
 
     def test_running_mean_and_max(self):
@@ -127,9 +123,10 @@ class TestAdmissionController:
         model = self._calibrated()
         ctrl = AdmissionController.for_slo(model, 0.1, clock=FakeClock())
         assert ctrl.delay_bound() == pytest.approx(0.1)
+        burst = ctrl.bucket.burst
         admitted, code, _ = ctrl.admit()
         assert admitted and code is None
-        assert ctrl.admitted == 1
+        assert ctrl.bucket.level() == pytest.approx(burst - 1.0)
 
     def test_rate_rejection_with_retry_hint(self):
         clock = FakeClock()
@@ -141,7 +138,7 @@ class TestAdmissionController:
         assert not admitted
         assert code == "rejected_rate"
         assert retry == pytest.approx(0.1)
-        assert ctrl.rejected_rate == 1
+        assert ctrl.bucket.level() == 0.0  # a rejection takes no token
 
     def test_pinned_envelope_rejects_on_slo_violation(self):
         # a manually-configured envelope too fat for the SLO: reject, no
@@ -153,8 +150,8 @@ class TestAdmissionController:
         admitted, code, _ = ctrl.admit()
         assert not admitted
         assert code == "rejected_slo"
-        assert ctrl.rejected_slo == 1
-        assert ctrl.retightened == 0
+        # pinned: not retightened, and the rejection took no token
+        assert (bucket.rate, bucket.burst, bucket.level()) == (10.0, 1000.0, 1000.0)
 
     def test_auto_envelope_retightens_on_drift(self):
         # served requests slower than calibration -> R_beta drops, the
@@ -168,7 +165,10 @@ class TestAdmissionController:
         assert not ctrl.slo_ok()
         admitted, code, _ = ctrl.admit()
         assert admitted and code is None
-        assert ctrl.retightened == 1
+        # re-solved against the drifted model: R_beta = workers / mean
+        r_beta = 2 / ((0.01 + 50 * 0.05) / 51)
+        assert ctrl.bucket.rate == pytest.approx(0.9 * r_beta)
+        assert ctrl.bucket.burst == pytest.approx((0.1 - 0.001) * r_beta)
         assert ctrl.bucket.burst < burst_before
         assert ctrl.delay_bound() <= 0.1 * (1 + 1e-9)
 
@@ -185,11 +185,26 @@ class TestAdmissionController:
         model = self._calibrated()
         ctrl = AdmissionController.for_slo(model, 0.1, clock=FakeClock())
         ctrl.admit()
-        report = ctrl.capacity_report()
+        report = capacity_report(model, ctrl)
         assert report["arrival_curve"]["kind"] == "leaky_bucket"
         assert report["service_curve"]["kind"] == "rate_latency"
         assert report["stable"] is True
         assert report["slo_ok"] is True
         assert report["delay_bound_s"] == pytest.approx(0.1)
-        assert report["admitted"] == 1
         assert report["backlog_bound_requests"] > 0
+        # an open door reports the same keys, null where no envelope is
+        door = capacity_report(model, None)
+        assert set(door) == set(report)
+        assert door["service_curve"] == report["service_curve"]
+        assert [door[k] for k in ("arrival_curve", "delay_bound_s", "stable",
+                                  "backlog_bound_requests", "slo_s")] == [None] * 5
+
+    def test_capacity_report_of_an_uncalibrated_envelope(self):
+        # a --rate shard started without calibration answers /capacity
+        # before its first request: no bound yet, but a report
+        model = SelfModel(workers=1)
+        bucket = TokenBucket(rate=1.0, burst=1.0, clock=FakeClock())
+        report = capacity_report(model, AdmissionController(bucket, model))
+        assert report["arrival_curve"]["rate_rps"] == 1.0
+        assert report["delay_bound_s"] is None
+        assert report["service_curve"]["service_rate_rps"] is None

@@ -166,6 +166,40 @@ class TestAdmission:
         assert rejected["error"]["retry_after_s"] > 0
         assert summary["rejected"] == 1
 
+    def test_each_rejection_is_counted_once_in_the_registry(self):
+        config = ServeConfig(port=0, workers=1, calibrate=0, rate=1, burst=1)
+        with ServerThread(config) as srv:
+            # four connections, each frame sent before any answer is read:
+            # all four meet the bucket well inside its 1 s refill
+            frame = json.dumps({"v": 1, "op": "analyze", "model": MODEL}).encode() + b"\n"
+            socks = [socket.create_connection((srv.host, srv.port), 60) for _ in range(4)]
+            try:
+                for sock in socks:
+                    sock.sendall(frame)
+                answers = [json.loads(sock.makefile("rb").readline()) for sock in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+            with ServeClient(srv.host, srv.port) as c:
+                metrics = c.stats()["result"]["metrics"]
+                capacity = c.capacity()["result"]
+        assert sum(a["ok"] for a in answers) == 1
+        rejected = [(a["status"], a["error"]["code"]) for a in answers if not a["ok"]]
+        assert rejected == [(429, "rejected_rate")] * 3
+        assert metrics["serve.rejected"]["value"] == 3
+        assert metrics["serve.rejected_rate"]["value"] == 3
+        assert not {"admitted", "rejected_rate", "rejected_slo", "retightened"} & set(capacity)
+
+    def test_open_door_and_enveloped_capacity_share_one_key_set(self, client):
+        enveloped = client.capacity()["result"]
+        with ServerThread(ServeConfig(port=0, workers=1, calibrate=0)) as srv:
+            with ServeClient(srv.host, srv.port) as c:
+                open_door = c.capacity()["result"]
+        assert enveloped["arrival_curve"] is not None
+        assert open_door["arrival_curve"] is None and open_door["stable"] is None
+        assert set(open_door) == set(enveloped)
+        assert set(open_door["service_curve"]) == set(enveloped["service_curve"])
+
     def test_slo_without_calibration_refuses_to_start(self):
         config = ServeConfig(port=0, workers=1, calibrate=0, slo_s=0.5)
         with pytest.raises(RuntimeError, match="calibration"):

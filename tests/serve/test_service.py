@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.router import ClusterRouter
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve.protocol import MAX_LINE_BYTES
 from repro.serve.service import ServiceThread
@@ -82,9 +82,9 @@ def _host(kind, drain_timeout_s=10.0):
     with socket.socket() as probe:  # a port nothing listens on once closed
         probe.bind(("127.0.0.1", 0))
         dead = probe.getsockname()[1]
-    config = RouterConfig(drain_timeout_s=drain_timeout_s)
     return ServiceThread(
-        lambda: _Router([("dead", "127.0.0.1", dead)], config), start_timeout=30.0
+        lambda: _Router([("dead", "127.0.0.1", dead)], drain_timeout_s=drain_timeout_s),
+        start_timeout=30.0,
     )
 
 

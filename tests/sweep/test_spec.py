@@ -69,6 +69,20 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="no stage named"):
             SweepSpec.from_pipeline(blast_pipeline(), [Axis("scale:nope", (1.0,))])
 
+    @pytest.mark.parametrize("base,error", [
+        ({"name": "x", "source": {"rate": 1.0}},
+         "pipeline document missing key 'stages'"),
+        ({"name": "x", "source": {"rate": 1.0}, "stages": ["abc"]},
+         "stage entry must be an object, got str"),
+        ({"name": "x", "source": {"rate": 1.0}, "stages": [{"avg_rate": 1.0}]},
+         "stage entry missing ['name']"),
+    ], ids=["no-stages", "stage-not-object", "stage-without-name"])
+    def test_malformed_base_gets_the_parsers_error(self, base, error):
+        # a stage axis reads the base's stage names before any parse
+        with pytest.raises(ValueError) as info:
+            SweepSpec(base=base, axes=(Axis("scale:a", (1.0, 2.0)),))
+        assert str(info.value) == error
+
     def test_duplicate_axes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SweepSpec.from_pipeline(
