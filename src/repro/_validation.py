@@ -14,6 +14,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
+    "check_queue_bytes",
 ]
 
 
@@ -56,3 +57,10 @@ def check_in_range(
         if not (lo < v < hi):
             raise ValueError(f"{name} must be in ({lo}, {hi}), got {value!r}")
     return v
+
+
+def check_queue_bytes(queue_bytes: float) -> None:
+    """Raise unless ``queue_bytes`` bounds an input queue: positive,
+    ``inf`` for unbounded (NaN, which compares false, is refused)."""
+    if not queue_bytes > 0:
+        raise ValueError("queue_bytes must be positive (inf for unbounded)")

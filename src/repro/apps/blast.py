@@ -28,8 +28,8 @@ host makes available instantaneously, which comfortably covers node E's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..des import SimulationReport
 from ..streaming import (
     AnalysisReport,
     Pipeline,
@@ -40,6 +40,9 @@ from ..streaming import (
     simulate,
 )
 from ..units import KiB, MiB
+
+if TYPE_CHECKING:
+    from ..des import SimulationReport
 
 __all__ = [
     "BLAST_PAPER",

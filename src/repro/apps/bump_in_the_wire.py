@@ -30,8 +30,8 @@ internal to the paper; see DESIGN.md §5 and EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..des import SimulationReport
 from ..streaming import (
     AnalysisReport,
     Pipeline,
@@ -43,6 +43,9 @@ from ..streaming import (
     simulate,
 )
 from ..units import GiB, KiB, MiB
+
+if TYPE_CHECKING:
+    from ..des import SimulationReport
 
 __all__ = [
     "BITW_PAPER",

@@ -30,9 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
-from ..des.distributions import bounded_pareto, spawn_rngs
 from ..serve.client import ServeClient
 
 __all__ = ["ScheduledRequest", "ReplayReport", "build_schedule", "replay"]
@@ -73,6 +70,11 @@ def build_schedule(
     """
     if duration_s <= 0 or rate_rps <= 0:
         raise ValueError("duration_s and rate_rps must be > 0")
+    # the load generator's draws, not the cluster it drives, need NumPy
+    import numpy as np
+
+    from ..des.distributions import bounded_pareto, spawn_rngs
+
     count = max(1, int(round(duration_s * rate_rps)))
     gap_rng, tenant_rng, point_rng = spawn_rngs(seed, 3)
     # heavy-tailed gaps: mean 1/rate, truncated to [1/50, 20]x the mean

@@ -452,15 +452,18 @@ class ClusterRouter(NdjsonService):
 
     async def _forward(self, req: Request, raw: bytes) -> dict[str, Any]:
         t0 = time.perf_counter()
-        if req.tenant is not None:
-            self.metrics.counter(f"cluster.tenant.{req.tenant}.requests").inc()
+        # per-tenant series only for registered tenants: a client that
+        # cycles names must not grow the registry, and every /stats with it
+        registered = req.tenant is not None and self.registry.get(req.tenant) is not None
+        tenant = req.tenant if registered else None
+        if tenant is not None:
+            self.metrics.counter(f"cluster.tenant.{tenant}.requests").inc()
         admitted, code, retry_after = self.registry.admit(req.tenant, beta=self.beta)
         if not admitted:
-            count_rejection(self.metrics, self.prefix, code, req.tenant)
+            count_rejection(self.metrics, self.prefix, code, tenant)
             bound = None
-            if req.tenant is not None and self.beta is not None \
-                    and self.registry.get(req.tenant) is not None:
-                b = self.registry.tenant_delay_bound(req.tenant, self.beta)
+            if tenant is not None and self.beta is not None:
+                b = self.registry.tenant_delay_bound(tenant, self.beta)
                 bound = None if math.isinf(b) else b
             return error_response(
                 req.id, status=429, code=code,
@@ -493,12 +496,10 @@ class ClusterRouter(NdjsonService):
                     doc["result"]["failover"] = True
             elapsed = time.perf_counter() - t0
             self.metrics.histogram("cluster.latency_s").observe(elapsed)
-            if req.tenant is not None:
-                self.metrics.histogram(
-                    f"cluster.tenant.{req.tenant}.latency_s"
-                ).observe(elapsed)
+            if tenant is not None:
+                self.metrics.histogram(f"cluster.tenant.{tenant}.latency_s").observe(elapsed)
                 if doc.get("ok"):
-                    self.metrics.counter(f"cluster.tenant.{req.tenant}.responses").inc()
+                    self.metrics.counter(f"cluster.tenant.{tenant}.responses").inc()
             return doc
         return error_response(
             req.id, status=503, code="no_shards",

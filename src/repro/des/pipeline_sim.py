@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .._validation import check_non_negative, check_positive
+from .._validation import check_non_negative, check_positive, check_queue_bytes
 from .core import Environment, Event
 from .distributions import Distribution, constant, uniform
 from .monitor import CumulativeFlow, DelayStats, StepSeries
@@ -32,13 +32,6 @@ from .recurrence import SERVE_TOL, WHOLE_TOL, emit_chunk, simulate_recurrence
 from .report import SimulationReport, StageStats
 
 __all__ = ["Packet", "SimStage", "ByteQueue", "PipelineSimulation", "check_queue_bytes"]
-
-
-def check_queue_bytes(queue_bytes: float) -> None:
-    """Raise unless ``queue_bytes`` bounds an input queue: positive,
-    ``inf`` for unbounded (NaN, which compares false, is refused)."""
-    if not queue_bytes > 0:
-        raise ValueError("queue_bytes must be positive (inf for unbounded)")
 
 
 @dataclass

@@ -30,7 +30,7 @@ def is_subadditive(f: Curve, samples: int = 64) -> bool:
     """
     import numpy as np
 
-    horizon = float(f.bx[-1]) * 2.0 + 1.0
+    horizon = f.bx[-1] * 2.0 + 1.0
     ts = np.linspace(0.0, horizon, samples)
     vals = f(ts)
     for i in range(samples):
@@ -57,9 +57,7 @@ def _closure_generic(f: Curve, max_iterations: int) -> Curve:
     if f(0.0) < 0:
         raise ValueError("closure requires f(0) >= 0")
     # force f(0) = 0 (delta_0 term of the closure)
-    by = f.by.copy()
-    by[0] = 0.0
-    current = Curve(f.bx, by, f.sy, f.sl)
+    current = Curve(f.bx, (0.0, *f.by[1:]), f.sy, f.sl)
     # Closed form: a curve that is exactly 0 on an initial interval [0, T]
     # (T > 0) has closure identically 0 — any t splits into sub-T chunks,
     # each contributing f(chunk) = 0.  Rate-latency curves hit this case;

@@ -6,7 +6,7 @@ between breakpoints and may jump *at* breakpoints — the exact class of
 functions needed for arrival curves (burst jump at 0), rate-latency
 service curves, and staircase/packetised curves.
 
-Internally a curve is four equal-length NumPy arrays::
+Internally a curve is four equal-length tuples of floats::
 
     bx[i]  breakpoint abscissae, bx[0] == 0, strictly increasing
     by[i]  exact value at bx[i]
@@ -14,18 +14,24 @@ Internally a curve is four equal-length NumPy arrays::
     sl[i]  slope on the open interval (bx[i], bx[i+1]); bx[n] extends to inf
 
 so ``f(bx[i]) = by[i]`` and ``f(t) = sy[i] + sl[i]*(t - bx[i])`` for
-``t`` in ``(bx[i], bx[i+1])``.  Evaluation is vectorised.
+``t`` in ``(bx[i], bx[i+1])``.  The model's curves hold a handful of
+pieces, so scalar evaluation is a :mod:`bisect` lookup; NumPy is
+imported only to evaluate on arrays (``__call__`` on a vector,
+:meth:`Curve.sample`, :func:`repro.nc.kernel.eval_batch`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+import operator
+from bisect import bisect_left, bisect_right
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .pieces import Point, Segment, envelope, merge_collinear
 from .tolerance import EPS, EPS_STRICT, close as _close, rel_scale
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Curve", "UnboundedCurveError"]
 
@@ -44,12 +50,10 @@ class UnboundedCurveError(ValueError):
 _FIELDS = ("bx", "by", "sy", "sl")
 
 
-def _freeze(c: "Curve", arrays: "Sequence[Sequence[float]] | np.ndarray") -> None:
-    """Store equal-length ``(bx, by, sy, sl)`` as read-only rows of one block."""
-    block = np.asarray(arrays, dtype=float)
-    block.setflags(write=False)
-    for name, row in zip(_FIELDS, block):
-        object.__setattr__(c, name, row)
+def _freeze(c: "Curve", fields: Iterable[Sequence[float]]) -> None:
+    """Store equal-length ``(bx, by, sy, sl)`` as tuples."""
+    for name, values in zip(_FIELDS, fields):
+        object.__setattr__(c, name, tuple(values))
 
 
 class Curve:
@@ -69,24 +73,23 @@ class Curve:
         sy: Sequence[float],
         sl: Sequence[float],
     ) -> None:
-        bx_a = np.asarray(bx, dtype=float)
-        by_a = np.asarray(by, dtype=float)
-        sy_a = np.asarray(sy, dtype=float)
-        sl_a = np.asarray(sl, dtype=float)
-        if not (bx_a.ndim == by_a.ndim == sy_a.ndim == sl_a.ndim == 1):
-            raise ValueError("curve arrays must be one-dimensional")
-        if not (len(bx_a) == len(by_a) == len(sy_a) == len(sl_a) >= 1):
+        try:
+            fields = [tuple(map(float, f)) for f in (bx, by, sy, sl)]
+        except TypeError:
+            raise ValueError("curve arrays must be one-dimensional") from None
+        xs = fields[0]
+        if not (len(xs) == len(fields[1]) == len(fields[2]) == len(fields[3]) >= 1):
             raise ValueError("curve arrays must share a positive length")
-        if bx_a[0] != 0.0:
-            raise ValueError(f"curves are defined from t=0, got bx[0]={bx_a[0]}")
-        if len(bx_a) > 1 and not (bx_a[1:] > bx_a[:-1]).all():
+        if xs[0] != 0.0:
+            raise ValueError(f"curves are defined from t=0, got bx[0]={xs[0]}")
+        if not all(b > a for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        block = np.array((bx_a, by_a, sy_a, sl_a))
-        if not np.isfinite(block).all():
-            for name, arr in zip(_FIELDS, block):
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"{name} must be finite, got {arr}")
-        _freeze(self, block)
+        for name, values in zip(_FIELDS, fields):
+            if not all(map(math.isfinite, values)):
+                import numpy as np  # the message prints the values as an array, as always
+
+                raise ValueError(f"{name} must be finite, got {np.asarray(values)}")
+        _freeze(self, fields)
 
     @classmethod
     def _trusted(
@@ -96,7 +99,7 @@ class Curve:
         sy: Sequence[float],
         sl: Sequence[float],
     ) -> "Curve":
-        """A curve from arrays the algebra itself computed.
+        """A curve from values the algebra itself computed.
 
         Operator results are valid by construction, so this skips the
         public constructor's checks; user input always goes through
@@ -108,6 +111,10 @@ class Curve:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Curve instances are immutable")
+
+    def __reduce__(self) -> tuple:
+        # pickle and deepcopy rebuild through _trusted, not the guarded __setattr__
+        return type(self)._trusted, (self.bx, self.by, self.sy, self.sl)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -191,49 +198,54 @@ class Curve:
     @property
     def final_slope(self) -> float:
         """Long-run growth rate: the slope of the unbounded final segment."""
-        return float(self.sl[-1])
+        return self.sl[-1]
 
     def __call__(self, t: "float | np.ndarray") -> "float | np.ndarray":
-        """Evaluate the curve, vectorised over ``t`` (``t >= 0``)."""
+        """Evaluate the curve at ``t >= 0``, a number or an array."""
+        if isinstance(t, (float, int)):
+            t = float(t)
+            if t < 0:
+                raise ValueError("curves are defined on t >= 0")
+            i = bisect_right(self.bx, t) - 1
+            return self.by[i] if self.bx[i] == t else self.sy[i] + self.sl[i] * (t - self.bx[i])
+        import numpy as np
+
         arr = np.asarray(t, dtype=float)
         scalar = arr.ndim == 0
         ts = np.atleast_1d(arr)
         if np.any(ts < 0):
             raise ValueError("curves are defined on t >= 0")
-        idx = np.searchsorted(self.bx, ts, side="right") - 1
-        vals = self.sy[idx] + self.sl[idx] * (ts - self.bx[idx])
-        exact = self.bx[idx] == ts
-        vals = np.where(exact, self.by[idx], vals)
+        bx, by, sy, sl = np.array((self.bx, self.by, self.sy, self.sl))
+        idx = np.searchsorted(bx, ts, side="right") - 1
+        vals = sy[idx] + sl[idx] * (ts - bx[idx])
+        vals = np.where(bx[idx] == ts, by[idx], vals)
         return float(vals[0]) if scalar else vals
 
     def left_limit(self, t: float) -> float:
         """Limit of ``f`` from the left at ``t > 0``."""
         if t <= 0:
             raise ValueError("left limit requires t > 0")
-        i = int(np.searchsorted(self.bx, t, side="left")) - 1
+        i = bisect_left(self.bx, t) - 1
         return float(self.sy[i] + self.sl[i] * (t - self.bx[i]))
 
     def right_limit(self, t: float) -> float:
         """Limit of ``f`` from the right at ``t >= 0``."""
         if t < 0:
             raise ValueError("right limit requires t >= 0")
-        i = int(np.searchsorted(self.bx, t, side="right")) - 1
+        i = bisect_right(self.bx, t) - 1
         if self.bx[i] == t:
-            return float(self.sy[i])
+            return self.sy[i]
         return float(self.sy[i] + self.sl[i] * (t - self.bx[i]))
 
     def pieces(self) -> tuple[list[Point], list[Segment]]:
         """Decompose into the canonical point/open-segment tiling."""
-        pts = [Point(float(x), float(y)) for x, y in zip(self.bx, self.by)]
-        segs = []
-        for i in range(len(self.bx)):
-            x1 = float(self.bx[i + 1]) if i + 1 < len(self.bx) else math.inf
-            segs.append(Segment(float(self.bx[i]), x1, float(self.sy[i]), float(self.sl[i])))
-        return pts, segs
+        ends = self.bx[1:] + (math.inf,)
+        pts = list(map(Point, self.bx, self.by))
+        return pts, list(map(Segment, self.bx, ends, self.sy, self.sl))
 
     def is_nondecreasing(self) -> bool:
         """True when the curve is wide-sense increasing (the NC class ``F``)."""
-        bx, by, sy, sl = self.bx.tolist(), self.by.tolist(), self.sy.tolist(), self.sl.tolist()
+        bx, by, sy, sl = self.bx, self.by, self.sy, self.sl
         for i in range(len(bx)):
             if sl[i] < 0:
                 return False
@@ -259,63 +271,56 @@ class Curve:
 
     def is_concave(self, tol: float = EPS) -> bool:
         """True for continuous curves with non-increasing slopes."""
-        return self.is_continuous() and bool(
-            np.all(np.diff(self.sl) <= tol * np.maximum(1.0, np.abs(self.sl[:-1])))
+        return self.is_continuous() and all(
+            b - a <= tol * max(1.0, abs(a)) for a, b in zip(self.sl, self.sl[1:])
         )
 
     def is_convex(self, tol: float = EPS) -> bool:
         """True for continuous curves with non-decreasing slopes."""
-        return self.is_continuous() and bool(
-            np.all(np.diff(self.sl) >= -tol * np.maximum(1.0, np.abs(self.sl[:-1])))
+        return self.is_continuous() and all(
+            b - a >= -tol * max(1.0, abs(a)) for a, b in zip(self.sl, self.sl[1:])
         )
 
     # ------------------------------------------------------------------ #
     # pointwise algebra
     # ------------------------------------------------------------------ #
 
-    def _merge_grid(self, other: "Curve") -> np.ndarray:
-        return np.union1d(self.bx, other.bx)
+    def _resampled(self, grid: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+        """(by, sy, sl) of this curve on a sorted grid holding its breakpoints."""
+        bx, by, sy, sl = self.bx, self.by, self.sy, self.sl
+        rows, i = [], 0
+        for x in grid:
+            if i + 1 < len(bx) and bx[i + 1] == x:
+                i += 1
+            v = sy[i] + sl[i] * (x - bx[i])
+            rows.append((by[i], sy[i], sl[i]) if bx[i] == x else (v, v, sl[i]))
+        return tuple(zip(*rows))
 
-    def _resampled_arrays(
-        self, grid: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(by, sy, sl) of this curve re-expressed on a refined grid."""
-        by = np.asarray(self(grid))
-        idx = np.searchsorted(self.bx, grid, side="right") - 1
-        sy = np.where(
-            self.bx[idx] == grid,
-            self.sy[idx],
-            self.sy[idx] + self.sl[idx] * (grid - self.bx[idx]),
-        )
-        sl = self.sl[idx]
-        return by, sy, sl
-
-    def _zip_with(self, other: "Curve", fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "Curve":
-        grid = self._merge_grid(other)
-        by1, sy1, sl1 = self._resampled_arrays(grid)
-        by2, sy2, sl2 = other._resampled_arrays(grid)
-        return Curve._trusted(grid, fn(by1, by2), fn(sy1, sy2), fn(sl1, sl2)).canonical()
+    def _zip_with(self, other: "Curve", fn: Callable[[float, float], float]) -> "Curve":
+        grid = sorted({*self.bx, *other.bx})
+        mine, theirs = self._resampled(grid), other._resampled(grid)
+        return Curve._trusted(grid, *(map(fn, a, b) for a, b in zip(mine, theirs))).canonical()
 
     def __add__(self, other: "Curve | float") -> "Curve":
         if isinstance(other, Curve):
-            return self._zip_with(other, np.add)
+            return self._zip_with(other, operator.add)
         return self.vshift(float(other))
 
     __radd__ = __add__
 
     def __sub__(self, other: "Curve | float") -> "Curve":
         if isinstance(other, Curve):
-            return self._zip_with(other, np.subtract)
+            return self._zip_with(other, operator.sub)
         return self.vshift(-float(other))
 
     def __neg__(self) -> "Curve":
-        return Curve._trusted(self.bx, -self.by, -self.sy, -self.sl)
+        return Curve._trusted(self.bx, *([-v for v in f] for f in (self.by, self.sy, self.sl)))
 
     def __mul__(self, k: float) -> "Curve":
         """Vertical scaling ``(k*f)(t) = k*f(t)``."""
         k = float(k)
         if k >= 0:
-            return Curve(self.bx, k * self.by, k * self.sy, k * self.sl)
+            return Curve(self.bx, *([k * v for v in f] for f in (self.by, self.sy, self.sl)))
         return -(self * (-k))
 
     __rmul__ = __mul__
@@ -324,7 +329,8 @@ class Curve:
         """Vertical shift ``f(t) + dy``."""
         if not math.isfinite(dy):
             raise ValueError(f"vshift needs a finite offset, got {dy}")
-        return Curve._trusted(self.bx, self.by + dy, self.sy + dy, self.sl)
+        by = [y + dy for y in self.by]
+        return Curve._trusted(self.bx, by, [s + dy for s in self.sy], self.sl)
 
     def hshift(self, delay: float, fill: float = 0.0) -> "Curve":
         """Right shift: ``g(t) = f(t - delay)`` for ``t >= delay``, else ``fill``.
@@ -336,18 +342,15 @@ class Curve:
             raise ValueError("hshift requires delay >= 0")
         if delay == 0:
             return self
-        bx = np.concatenate(([0.0], self.bx + delay))
+        bx = [0.0, *(x + delay for x in self.bx)]
         # value at t=delay: fill on [0, delay) but f(0) at delay itself
-        by = np.concatenate(([fill], self.by))
-        sy = np.concatenate(([fill], self.sy))
-        sl = np.concatenate(([0.0], self.sl))
-        return Curve(bx, by, sy, sl).canonical()
+        return Curve(bx, (fill, *self.by), (fill, *self.sy), (0.0, *self.sl)).canonical()
 
     def xscale(self, k: float) -> "Curve":
         """Horizontal scaling ``g(t) = f(t / k)`` for ``k > 0``."""
         if k <= 0:
             raise ValueError("xscale requires k > 0")
-        return Curve(self.bx * k, self.by, self.sy, self.sl / k)
+        return Curve([x * k for x in self.bx], self.by, self.sy, [m / k for m in self.sl])
 
     def max0(self) -> "Curve":
         """Positive part ``[f]^+ = max(f, 0)`` — used by ``[beta - l_max]^+``."""
@@ -373,26 +376,24 @@ class Curve:
         """Supremum of the curve over ``[0, t_max]`` (``inf`` allowed)."""
         if t_max < 0:
             raise ValueError("t_max must be >= 0")
+        bx, by, sy, sl = self.bx, self.by, self.sy, self.sl
         best = -math.inf
-        for i in range(len(self.bx)):
-            x0 = float(self.bx[i])
+        for i in range(len(bx)):
+            x0 = bx[i]
             if x0 > t_max:
                 break
-            best = max(best, float(self.by[i]))
-            x1 = float(self.bx[i + 1]) if i + 1 < len(self.bx) else math.inf
+            best = max(best, by[i])
+            x1 = bx[i + 1] if i + 1 < len(bx) else math.inf
             hi = min(x1, t_max)
             if hi > x0:
                 if math.isinf(hi):
-                    if self.sl[i] > 0:
+                    if sl[i] > 0:
                         return math.inf
-                    best = max(best, float(self.sy[i]))
+                    best = max(best, sy[i])
                 else:
-                    end = float(self.sy[i] + self.sl[i] * (hi - x0))
-                    start = float(self.sy[i])
+                    end = sy[i] + sl[i] * (hi - x0)
+                    start = sy[i]
                     best = max(best, start, end)
-                    if hi == t_max and x0 <= t_max <= x1:
-                        # t_max interior to segment: value included above
-                        pass
         return best
 
     def inf(self, t_max: float = math.inf) -> float:
@@ -405,9 +406,7 @@ class Curve:
 
     def canonical(self) -> "Curve":
         """Return an equivalent curve with merged collinear pieces."""
-        merged = merge_collinear(
-            self.bx.tolist(), self.by.tolist(), self.sy.tolist(), self.sl.tolist()
-        )
+        merged = merge_collinear(self.bx, self.by, self.sy, self.sl)
         if len(merged[0]) == len(self.bx):
             return self
         return Curve._trusted(*merged)
@@ -418,11 +417,7 @@ class Curve:
         lo, hi = diff.inf(), diff.sup()
         if math.isinf(lo) or math.isinf(hi):
             return False
-        scale = max(
-            1.0,
-            float(np.max(np.abs(self.by))) if len(self.by) else 1.0,
-            float(np.max(np.abs(other.by))) if len(other.by) else 1.0,
-        )
+        scale = max(1.0, *map(abs, self.by), *map(abs, other.by))
         return max(abs(lo), abs(hi)) <= tol * scale
 
     def __eq__(self, other: object) -> bool:
@@ -431,16 +426,17 @@ class Curve:
         if self is other:
             return True
         a, b = self.canonical(), other.canonical()
-        return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in _FIELDS)
+        return (a.bx, a.by, a.sy, a.sl) == (b.bx, b.by, b.sy, b.sl)
 
     def __hash__(self) -> int:
         c = self.canonical()
-        # ``==`` compares values, so -0.0 must hash like 0.0: adding 0.0
-        # maps -0.0 to +0.0 under IEEE rounding
-        return hash(tuple((getattr(c, n) + 0.0).tobytes() for n in _FIELDS))
+        # ``==`` compares values, and Python hashes -0.0 like 0.0
+        return hash((c.bx, c.by, c.sy, c.sl))
 
     def sample(self, ts: Sequence[float]) -> np.ndarray:
-        """Evaluate on a sequence of abscissae (alias of ``__call__``)."""
+        """Evaluate on a sequence of abscissae, as an array."""
+        import numpy as np
+
         return np.asarray(self(np.asarray(ts, dtype=float)))
 
     def __repr__(self) -> str:

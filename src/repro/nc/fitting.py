@@ -17,14 +17,15 @@ This module turns such measurements into curves:
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .._validation import check_positive
 from .builders import leaky_bucket, rate_latency
 from .curve import Curve
 from .tolerance import EPS, rel_scale
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "burst_for_rate",
@@ -35,6 +36,8 @@ __all__ = [
 
 
 def _as_trace(times: Sequence[float], cumulative: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     r = np.asarray(cumulative, dtype=float)
     if t.ndim != 1 or t.shape != r.shape or len(t) < 2:
@@ -53,6 +56,8 @@ def burst_for_rate(times: Sequence[float], cumulative: Sequence[float], rate: fl
     ``b = max_{s <= t} [r(t) - r(s) - rate*(t - s)]`` computed in O(n)
     via a running minimum of ``r(s) - rate*s``.
     """
+    import numpy as np
+
     t, r = _as_trace(times, cumulative)
     check_positive("rate", rate)
     slack = r - rate * t
@@ -97,7 +102,7 @@ def fit_rate_latency(times: Sequence[float], cumulative: Sequence[float]) -> Cur
     rate = float((r[-1] - r[0]) / span)
     if rate <= 0.0:
         raise ValueError("service trace has no throughput; cannot fit a rate")
-    latency = float(np.max(t - (r - r[0]) / rate))
+    latency = float((t - (r - r[0]) / rate).max())
     return rate_latency(rate, max(0.0, latency))
 
 
@@ -111,6 +116,8 @@ def rate_latency_from_job_times(
     time of a single job plus any fixed dispatch overhead: before ``T``
     has elapsed the node may not have emitted anything.
     """
+    import numpy as np
+
     sizes = np.asarray(job_sizes, dtype=float)
     times = np.asarray(execution_times, dtype=float)
     if sizes.shape != times.shape or sizes.ndim != 1 or len(sizes) == 0:

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from .curve import Curve
 from .pieces import merge_collinear
 from .tolerance import close
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["binary_op", "unary_op", "eval_batch"]
 
@@ -59,7 +60,7 @@ def _rl_params(c: Curve) -> tuple[float, float] | None:
     n = len(c.bx)
     if n == 1:
         if c.by[0] == 0.0 and c.sy[0] == 0.0 and c.sl[0] >= 0.0:
-            return float(c.sl[0]), 0.0
+            return c.sl[0], 0.0
         return None
     if (
         n == 2
@@ -70,7 +71,7 @@ def _rl_params(c: Curve) -> tuple[float, float] | None:
         and c.sl[0] == 0.0
         and c.sl[1] > 0.0
     ):
-        return float(c.sl[1]), float(c.bx[1])
+        return c.sl[1], c.bx[1]
     return None
 
 
@@ -90,7 +91,7 @@ def _jump_line_params(c: Curve) -> tuple[float, float] | None:
     if len(c.bx) != 1:
         return None
     if c.by[0] == 0.0 and c.sy[0] >= 0.0 and c.sl[0] >= 0.0:
-        return float(c.sy[0]), float(c.sl[0])
+        return c.sy[0], c.sl[0]
     return None
 
 
@@ -99,7 +100,7 @@ def _single_piece_nondecreasing(c: Curve) -> tuple[float, float, float] | None:
     if len(c.bx) != 1:
         return None
     if c.by[0] <= c.sy[0] and c.sl[0] >= 0.0:
-        return float(c.by[0]), float(c.sy[0]), float(c.sl[0])
+        return c.by[0], c.sy[0], c.sl[0]
     return None
 
 
@@ -121,15 +122,11 @@ def _single_piece_nondecreasing(c: Curve) -> tuple[float, float, float] | None:
 # property-test grid) the results agree with it bit for bit.
 
 
-def _f_lists(f: Curve) -> tuple[list[float], list[float], list[float], list[float]]:
-    return f.bx.tolist(), f.by.tolist(), f.sy.tolist(), f.sl.tolist()
-
-
 def _convolve_rl(f: Curve, rate: float, latency: float) -> Curve | None:
     """``f (*) beta_{rate,latency}`` in one forward pass over ``f``."""
     if latency > 0.0 and not f.is_nondecreasing():
         return None
-    bx, by, sy, sl = _f_lists(f)
+    bx, by, sy, sl = f.bx, f.by, f.sy, f.sl
     n = len(bx)
     xs = [x + latency for x in bx]
     out: list[tuple[float, float, float, float]] = []  # (x, f(x), f(x+), slope)
@@ -176,7 +173,7 @@ def _deconvolve_rl(f: Curve, rate: float, latency: float) -> Curve | None:
     """
     if latency > 0.0 and not f.is_nondecreasing():
         return None
-    bx, by, sy, sl = _f_lists(f)
+    bx, by, sy, sl = f.bx, f.by, f.sy, f.sl
     xs = [x - latency for x in bx]
     # pieces right to left as (x, value, right-limit, slope), each with
     # an exact anchor (ax, ay) on its line; on the final ray the result
@@ -230,7 +227,7 @@ def _vdev_rl(f: Curve, rate: float, latency: float) -> float:
     """``sup_t f(t) - beta_{rate,latency}(t)``: ``f - beta`` is affine
     between f's breakpoints and T, so the sup is one of its values and
     one-sided limits there, or ``inf`` when f outgrows the rate."""
-    bx, by, sy, sl = _f_lists(f)
+    bx, by, sy, sl = f.bx, f.by, f.sy, f.sl
     if sl[-1] > rate:
         return math.inf
     best = -math.inf
@@ -271,7 +268,7 @@ def _fast_convolve(f: Curve, g: Curve) -> Curve | None:
         # pointwise minimum, and for this shape the generic convolution
         # bag reduces to exactly the minimum's line set (the combined
         # piece has the smaller slope with a dominated intercept).
-        return _minimum_of_jump_lines(min(float(f.by[0]), float(g.by[0])), jf, jg)
+        return _minimum_of_jump_lines(min(f.by[0], g.by[0]), jf, jg)
     if rg is not None:
         return _convolve_rl(f, *rg)
     return None
@@ -401,11 +398,11 @@ def unary_op(op: str, f: Curve, generic: Callable[..., Any], *params: Any) -> An
 def eval_batch(curve: Curve, xs: Any) -> np.ndarray:
     """Evaluate ``curve`` at a whole vector of abscissae in one call.
 
-    The batched entry point for layers that hold full point lists — the
-    sweep runner's grid evaluation, the scenario judge's checks, the
-    telemetry conformance replay, and the serve tier's capacity
-    sampling.  Always returns a 1-D float array (scalar input becomes a
-    length-1 array).
+    The batched entry point for layers that hold full point lists, such
+    as the telemetry conformance replay.  Always returns a 1-D float
+    array (scalar input becomes a length-1 array).
     """
+    import numpy as np
+
     arr = np.atleast_1d(np.asarray(xs, dtype=float)).ravel()
     return np.asarray(curve(arr), dtype=float)

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .._validation import check_non_negative
 from .bounds import delay_bound
 from .curve import Curve
@@ -108,11 +106,17 @@ def fifo_residual_delay_bound(
             return math.inf, 0.0
     if theta_max is None:
         theta_max = 2.0 * d_blind
+    # numpy.linspace(0.0, theta_max, theta_grid) bit for bit: NumPy takes
+    # i*step + 0.0 ((i/div)*delta + 0.0 when step underflows to 0), then
+    # sets the last point to theta_max
+    div, delta = theta_grid - 1, float(theta_max) - 0.0
+    step = delta / div
+    thetas = [(i * step if step else (i / div) * delta) + 0.0 for i in range(div)]
     best_d, best_theta = math.inf, 0.0
-    for theta in np.linspace(0.0, theta_max, theta_grid):
-        d = delay_bound(alpha, fifo_residual(beta, alpha_cross, float(theta)))
+    for theta in (*thetas, float(theta_max)):
+        d = delay_bound(alpha, fifo_residual(beta, alpha_cross, theta))
         if d < best_d:
-            best_d, best_theta = d, float(theta)
+            best_d, best_theta = d, theta
     return best_d, best_theta
 
 

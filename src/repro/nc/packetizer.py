@@ -37,9 +37,7 @@ def packetize_arrival(alpha: Curve, l_max: float) -> Curve:
 def _packetize_arrival_generic(alpha: Curve, l_max: float) -> Curve:
     shifted = alpha.vshift(l_max)
     # restore the exact value at t = 0 (the vertical shift must not move it)
-    by = shifted.by.copy()
-    by[0] = alpha.by[0]
-    return Curve._trusted(shifted.bx, by, shifted.sy, shifted.sl)
+    return Curve._trusted(shifted.bx, (alpha.by[0], *shifted.by[1:]), shifted.sy, shifted.sl)
 
 
 def packetize_service(beta: Curve, l_max: float) -> Curve:

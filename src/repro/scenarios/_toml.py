@@ -18,12 +18,8 @@ subset is an error, never a silent misparse.
 
 from __future__ import annotations
 
+from types import ModuleType
 from typing import Any
-
-try:  # Python >= 3.11
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - exercised on 3.10 CI
-    _tomllib = None
 
 __all__ = ["TomlError", "loads"]
 
@@ -32,15 +28,26 @@ class TomlError(ValueError):
     """Malformed TOML input (one message, line-located when possible)."""
 
 
+def _stdlib_toml() -> ModuleType | None:
+    """:mod:`tomllib`, imported when a file is read, not when the
+    scenario package is; ``None`` before Python 3.11."""
+    try:
+        import tomllib
+    except ImportError:  # pragma: no cover - exercised on 3.10 CI
+        return None
+    return tomllib
+
+
 def loads(text: str) -> dict[str, Any]:
     """Parse TOML text into nested dicts/lists.
 
     Uses :mod:`tomllib` when available, the subset parser otherwise.
     """
-    if _tomllib is not None:
+    tomllib = _stdlib_toml()
+    if tomllib is not None:
         try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
+            return tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
             raise TomlError(str(exc)) from exc
     return _parse_subset(text)
 

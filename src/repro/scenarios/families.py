@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from ..des.distributions import bounded_pareto, lognormal, spawn_rngs
 from ..nc.bounds import backlog_bound, delay_bound
 from ..nc.builders import leaky_bucket, rate_latency
 from ..nc.multiflow import aggregate_arrival, blind_residual
@@ -337,6 +336,8 @@ def randomized_scenarios(n: int = 10, base_seed: int = 7_2024) -> list[ScenarioS
     effective burst are derived here with an independent prefix-product
     normalization, cross-checking :mod:`repro.streaming.normalization`.
     """
+    from ..des.distributions import spawn_rngs
+
     out: list[ScenarioSpec] = []
     for i, rng in enumerate(spawn_rngs(base_seed, n)):
         depth = 2 + i % 5
@@ -392,6 +393,8 @@ def randomized_scenarios(n: int = 10, base_seed: int = 7_2024) -> list[ScenarioS
 
 def adversarial_scenarios(base_seed: int = 13_2024) -> list[ScenarioSpec]:
     """Stress cases: saturation, bursts, deep aggregation, heavy tails."""
+    from ..des.distributions import bounded_pareto, lognormal, spawn_rngs
+
     out: list[ScenarioSpec] = []
 
     # -- rho -> 1 from below, and exactly 1 ------------------------------

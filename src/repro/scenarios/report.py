@@ -24,7 +24,6 @@ from typing import Any, Mapping, Sequence
 
 from .._fsutil import atomic_write_text
 from ..units import format_bytes, format_rate, format_seconds
-from ..viz import ascii_histogram, rows_to_markdown
 from .runner import CatalogResult, ScenarioResult
 
 __all__ = [
@@ -95,6 +94,8 @@ def _fmt_value(v: Any) -> str:
 
 def render_scenario_markdown(doc: Mapping[str, Any]) -> str:
     """One scenario's result document as a markdown page."""
+    from ..viz import rows_to_markdown
+
     verdict = "PASS" if doc["ok"] else "FAIL"
     lines = [
         f"# scenario `{doc['name']}` — {verdict}",
@@ -153,6 +154,8 @@ def _delay_margin(doc: Mapping[str, Any]) -> float | None:
 
 
 def _margin_histogram(docs: Sequence[Mapping[str, Any]]) -> str:
+    from ..viz import ascii_histogram
+
     margins = [m for m in (_delay_margin(d) for d in docs) if m is not None]
     if not margins:
         return ""
@@ -170,6 +173,8 @@ def _margin_histogram(docs: Sequence[Mapping[str, Any]]) -> str:
 
 def render_catalog_markdown(data: Mapping[str, Any]) -> str:
     """The whole catalog document as the top-level markdown report."""
+    from ..viz import rows_to_markdown
+
     s = data["summary"]
     docs = data["scenarios"]
     lines = [

@@ -355,13 +355,15 @@ def capacity_report(
 
 
 def count_rejection(
-    metrics: "MetricsRegistry", prefix: str, code: str, tenant: "str | None"
+    metrics: "MetricsRegistry", prefix: str, code: str, tenant: "str | None" = None
 ) -> None:
     """Count one 429 in the answering host's registry, its only count.
 
     ``<prefix>.rejected`` totals every rejection (the drain line reads
-    it), ``<prefix>.<code>`` counts it by reason, and a tenant's request
-    also counts under ``<prefix>.tenant.<tenant>.rejected``.
+    it), ``<prefix>.<code>`` counts it by reason, and a registered
+    tenant's request also counts under ``<prefix>.tenant.<tenant>.rejected``.
+    Only the router knows which tenants are registered, so only it
+    passes ``tenant``.
     """
     metrics.counter(f"{prefix}.rejected").inc()
     metrics.counter(f"{prefix}.{code}").inc()

@@ -45,6 +45,10 @@ __all__ = ["ServeClient", "ServeClosedError", "ServeConnectError"]
 #: unavailability (draining server, router with a shard mid-failover)
 RETRYABLE_STATUSES = (429, 503)
 
+#: 429 codes no retry can turn: the router refuses the caller's identity
+#: until the tenant registers, so these come back at once
+FINAL_CODES = frozenset({"unknown_tenant", "tenant_required"})
+
 
 class ServeClosedError(ConnectionError):
     """The server closed the connection before answering."""
@@ -159,8 +163,10 @@ class ServeClient:
         rejected) or 503 (draining / shard failing over) response is
         retried up to ``retries`` times, honoring the server's
         ``retry_after_s`` hint when present and a full-jittered
-        exponential backoff otherwise.  The final response — success
-        or not — is returned.
+        exponential backoff otherwise.  A 429 for an unknown or missing
+        tenant (``unknown_tenant``, ``tenant_required``) is not retried:
+        it stays refused until the tenant registers.  The final
+        response — success or not — is returned.
         """
         self.connect()
         if id is None:
@@ -179,11 +185,15 @@ class ServeClient:
         backoff = max(0.0, retry_backoff_s)
         for attempt in range(1 + max(0, retries)):
             response = self._exchange(frame)
-            if response.get("ok") or response.get("status") not in RETRYABLE_STATUSES:
+            error = response.get("error") or {}
+            if (
+                response.get("ok")
+                or response.get("status") not in RETRYABLE_STATUSES
+                or error.get("code") in FINAL_CODES
+                or attempt >= retries
+            ):
                 return response
-            if attempt >= retries:
-                return response
-            hint = (response.get("error") or {}).get("retry_after_s")
+            hint = error.get("retry_after_s")
             # the hint is exact (the server computed when the bucket
             # refills); only the blind backoff gets jittered
             delay = float(hint) if hint else self._rng.uniform(0.0, backoff)

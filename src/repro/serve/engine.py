@@ -244,12 +244,10 @@ class AnalysisEngine:
 
     async def evaluate(self, req: Request) -> dict[str, Any]:
         """Admission -> cache -> pool dispatch for one request."""
-        if req.tenant is not None:
-            self.metrics.counter(f"serve.tenant.{req.tenant}.requests").inc()
         if self.admission is not None:
             admitted, code, retry_after = self.admission.admit()
             if not admitted:
-                count_rejection(self.metrics, "serve", code, req.tenant)
+                count_rejection(self.metrics, "serve", code)
                 return error_response(
                     req.id,
                     status=429,
@@ -305,8 +303,6 @@ class AnalysisEngine:
                 float(out.get("elapsed", 0.0))
             )
         self.metrics.histogram("serve.latency_s").observe(time.perf_counter() - t0)
-        if req.tenant is not None:
-            self.metrics.counter(f"serve.tenant.{req.tenant}.responses").inc()
         return ok_response(req.id, {"key": key, "cached": cached, **out})
 
     # ------------------------------------------------------------------ #

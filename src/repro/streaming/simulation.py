@@ -11,12 +11,13 @@ source at its sustained rate.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from .._validation import check_positive
-from ..des import PipelineSimulation, SimStage, SimulationReport, uniform
-from ..des.pipeline_sim import check_queue_bytes
+from .._validation import check_positive, check_queue_bytes
 from .pipeline import Pipeline
+
+if TYPE_CHECKING:
+    from ..des import PipelineSimulation, SimulationReport
 
 __all__ = ["check_queue_bounds", "to_simulation", "simulate"]
 
@@ -50,6 +51,10 @@ def to_simulation(
     ``probe`` is an optional :class:`repro.telemetry.SimProbe` telemetry
     sink passed straight to the simulator.
     """
+    # the DES (and NumPy with it) loads with the first simulated run:
+    # the NC analysis never needs it
+    from ..des import PipelineSimulation, SimStage, uniform
+
     check_positive("workload", workload)
     queue_bytes = dict(queue_bytes or {})
     check_queue_bounds(pipeline, queue_bytes)

@@ -23,7 +23,6 @@ from typing import Any
 
 from .. import __version__
 from .._fsutil import atomic_write_text
-from ..viz.csvout import write_rows_csv
 from .runner import SweepResult
 from .spec import SweepSpec
 
@@ -64,6 +63,8 @@ def write_artifacts(
 
     Returns the written paths keyed by artifact name.
     """
+    from ..viz.csvout import write_rows_csv
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -14,7 +14,13 @@ Three pillars, one probe protocol (:class:`SimProbe`):
 
 Every DES hook site is guarded by ``if probe is not None``, so
 untraced runs pay near-zero cost.
+
+The conformance names load :mod:`repro.telemetry.conformance` on first
+use: it imports NumPy, which a process that only keeps metrics (the
+cluster router, a shard's engine) does not need.
 """
+
+from typing import Any
 
 from .probe import MultiProbe, ServiceLog, SimProbe
 from .trace import TRACE_SCHEMA_PHASES, Tracer
@@ -27,19 +33,29 @@ from .metrics import (
     log_bucket_edges,
     report_summaries,
 )
-from .conformance import (
-    CheckResult,
-    ConformanceReport,
-    Violation,
-    check_arrivals,
-    check_backlog,
-    check_delay,
-    check_queues,
-    check_stage_service,
-    evaluate_conformance,
-    run_conformance,
-    valid_bounds,
-)
+
+_CONFORMANCE = frozenset({
+    "CheckResult",
+    "ConformanceReport",
+    "Violation",
+    "check_arrivals",
+    "check_backlog",
+    "check_delay",
+    "check_queues",
+    "check_stage_service",
+    "evaluate_conformance",
+    "run_conformance",
+    "valid_bounds",
+})
+
+
+def __getattr__(name: str) -> Any:
+    if name in _CONFORMANCE:
+        from . import conformance
+
+        return getattr(conformance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SimProbe",

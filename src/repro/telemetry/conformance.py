@@ -260,8 +260,10 @@ def check_arrivals(
     env0 = eval_batch(alpha, at + _EPS) + l_max
     bad0 = np.nonzero(ac > env0 + rtol * np.maximum(1.0, env0))[0]
 
-    # windowed: decimate, then test all i<j increments
-    idx = np.unique(np.linspace(0, n - 1, min(n, max_windows)).astype(int))
+    # windowed: decimate, then test all i<j increments.  The indices are
+    # sorted, so dropping repeats needs no np.unique, which imports numpy.ma
+    idx = np.linspace(0, n - 1, min(n, max_windows)).astype(int)
+    idx = idx[np.diff(idx, prepend=-1) > 0]
     t_s, c_s = at[idx], ac[idx]
     lag = t_s[None, :] - t_s[:, None]
     inc = c_s[None, :] - c_s[:, None]

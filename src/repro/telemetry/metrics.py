@@ -3,9 +3,10 @@
 The registry captures what the DES aggregates throw away: per-stage
 service-time *distributions*, per-job end-to-end latency distributions,
 and queue-occupancy extrema.  Everything is fixed-allocation — a
-histogram is a NumPy count vector over immutable bucket edges — so the
-instrumented hot path does an ``searchsorted`` and an increment, never
-an append.
+histogram is a list of counts over a tuple of bucket edges — so the
+instrumented hot path does a ``bisect`` and an increment, never an
+append.  Only :meth:`Histogram.observe_many` imports NumPy, to bucket a
+whole array at once.
 
 :class:`SimMetrics` adapts the registry to the
 :class:`~repro.telemetry.probe.SimProbe` protocol; snapshots are plain
@@ -18,9 +19,9 @@ what the probe would have collected, so unprobed runs keep them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Any, Iterable, Mapping
-
-import numpy as np
 
 from .probe import SimProbe
 
@@ -112,20 +113,20 @@ class Histogram:
     __slots__ = ("edges", "counts", "count", "total", "vmin", "vmax")
 
     def __init__(self, edges: Iterable[float]) -> None:
-        e = np.asarray(tuple(edges), dtype=float)
-        if e.ndim != 1 or len(e) < 2:
+        e = tuple(map(float, edges))
+        if len(e) < 2:
             raise ValueError("need at least two bucket edges")
-        if not np.all(np.diff(e) > 0):
+        if not all(b > a for a, b in zip(e, e[1:])):
             raise ValueError("bucket edges must be strictly increasing")
         self.edges = e
-        self.counts = np.zeros(len(e) + 1, dtype=np.int64)
+        self.counts = [0] * (len(e) + 1)
         self.count = 0
         self.total = 0.0
         self.vmin = math.inf
         self.vmax = -math.inf
 
     def observe(self, value: float) -> None:
-        self.counts[int(np.searchsorted(self.edges, value, side="right"))] += 1
+        self.counts[bisect_right(self.edges, value)] += 1
         self.count += 1
         self.total += value
         if value < self.vmin:
@@ -140,11 +141,14 @@ class Histogram:
         adds left to right (not pairwise, not compensated), so it equals
         the one ``observe`` calls would leave.
         """
+        import numpy as np
+
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             return
         idx = np.searchsorted(self.edges, v, side="right")
-        self.counts += np.bincount(idx, minlength=len(self.counts))
+        bins = np.bincount(idx, minlength=len(self.counts)).tolist()
+        self.counts = [c + n for c, n in zip(self.counts, bins)]
         self.count += int(v.size)
         total = self.total
         for x in v.tolist():
@@ -163,23 +167,21 @@ class Histogram:
             raise ValueError("q must be in [0, 1]")
         if self.count == 0:
             return math.nan
-        target = q * self.count
-        cum = np.cumsum(self.counts)
-        i = int(np.searchsorted(cum, target, side="left"))
+        i = bisect_left(list(accumulate(self.counts)), q * self.count)
         if i == 0:
-            return float(self.edges[0])
+            return self.edges[0]
         if i >= len(self.edges):
             return self.vmax
-        return float(self.edges[i])
+        return self.edges[i]
 
     def nonempty_buckets(self) -> list[tuple[float, float, int]]:
         """``(lo, hi, count)`` for buckets holding at least one sample."""
         out: list[tuple[float, float, int]] = []
         lo = -math.inf
         for i, c in enumerate(self.counts):
-            hi = float(self.edges[i]) if i < len(self.edges) else math.inf
+            hi = self.edges[i] if i < len(self.edges) else math.inf
             if c:
-                out.append((lo, hi, int(c)))
+                out.append((lo, hi, c))
             lo = hi
         return out
 
@@ -194,8 +196,8 @@ class Histogram:
             "max": None if empty else self.vmax,
             "p50": None if empty else self.quantile(0.5),
             "p99": None if empty else self.quantile(0.99),
-            "edges": self.edges.tolist(),
-            "counts": self.counts.tolist(),
+            "edges": list(self.edges),
+            "counts": list(self.counts),
         }
 
 

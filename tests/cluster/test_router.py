@@ -439,14 +439,14 @@ class TestRejectionCounts:
                 counts = {
                     name: metrics[name]["value"]
                     for name in ("cluster.rejected", "cluster.rejected_rate",
-                                 "cluster.unknown_tenant", "cluster.tenant.tiny.rejected",
-                                 "cluster.tenant.nobody.rejected")
+                                 "cluster.unknown_tenant", "cluster.tenant.tiny.rejected")
                 }
                 assert counts == {
                     "cluster.rejected": 2, "cluster.rejected_rate": 1,
                     "cluster.unknown_tenant": 1, "cluster.tenant.tiny.rejected": 1,
-                    "cluster.tenant.nobody.rejected": 1,
                 }
+                # an unregistered name gets no series of its own
+                assert "cluster.tenant.nobody.rejected" not in metrics
                 tenants = (await _call(router, {"v": 1, "op": "tenants"}))["result"]
                 registered = (await _call(router, {
                     "v": 1, "op": "register_tenant", "tenant": "extra",
@@ -454,6 +454,38 @@ class TestRejectionCounts:
                 }))["result"]
                 for doc in [*tenants["tenants"], registered]:
                     assert not COUNTER_KEYS & set(doc), doc
+            finally:
+                await router.drain()
+                shard.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+
+    def test_unregistered_names_add_no_metrics(self, model):
+        async def scenario() -> None:
+            shard = await _FakeShard().start()
+            registry = TenantRegistry()
+            registry.register("tiny", 1.0, 1.0)
+            router = ClusterRouter([("only", shard.host, shard.port)], registry=registry)
+            await router.start()
+            try:
+                stats = {"v": 1, "op": "stats"}
+                frame = {"v": 1, "op": "analyze", "model": model}
+
+                async def stranger(i: int) -> None:
+                    reply = await _call(router, dict(frame, tenant=f"stranger-{i}"))
+                    assert reply["error"]["code"] == "unknown_tenant"
+
+                # the first rejection and the first stats answer create
+                # the counters every later one only increments
+                await stranger(0)
+                await _call(router, stats)
+                before = set((await _call(router, stats))["result"]["router"])
+                for i in range(1, 50):
+                    await stranger(i)
+                metrics = (await _call(router, stats))["result"]["router"]
+                assert set(metrics) == before
+                assert metrics["cluster.rejected"]["value"] == 50
+                assert metrics["cluster.unknown_tenant"]["value"] == 50
             finally:
                 await router.drain()
                 shard.close()
@@ -479,5 +511,56 @@ class TestRejectionCounts:
                 await router.drain()
                 for shard in shards:
                     shard.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+
+
+class TestClientRetries:
+    """``ServeClient.request(retries=...)`` against a router with one
+    registered tenant, the blocking client on a worker thread."""
+
+    @staticmethod
+    async def _router(shard: "_FakeShard", rate: float) -> ClusterRouter:
+        registry = TenantRegistry()
+        registry.register("tiny", rate, 1.0)
+        router = ClusterRouter([("only", shard.host, shard.port)], registry=registry)
+        await router.start()
+        return router
+
+    @staticmethod
+    def _analyze(router: ClusterRouter, model: dict, tenant: str) -> dict:
+        with ServeClient(router.host, router.port) as c:
+            return c.analyze(model, tenant=tenant, retries=3)
+
+    def test_an_unknown_tenant_is_answered_at_once(self, model):
+        async def scenario() -> None:
+            shard = await _FakeShard().start()
+            router = await self._router(shard, 1.0)
+            try:
+                reply = await asyncio.to_thread(self._analyze, router, model, "nobody")
+                assert (reply["status"], reply["error"]["code"]) == (429, "unknown_tenant")
+                metrics = (await _call(router, {"v": 1, "op": "stats"}))["result"]["router"]
+                assert metrics["cluster.rejected"]["value"] == 1  # one frame, no retries
+            finally:
+                await router.drain()
+                shard.close()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30.0))
+
+    def test_a_request_past_the_burst_is_still_retried(self, model):
+        async def scenario() -> None:
+            shard = await _FakeShard().start()
+            # 2 req/s: the second request comes well inside the 0.5 s refill
+            router = await self._router(shard, 2.0)
+            try:
+                assert (await asyncio.to_thread(self._analyze, router, model, "tiny"))["ok"]
+                reply = await asyncio.to_thread(self._analyze, router, model, "tiny")
+                assert reply["ok"], reply
+                metrics = (await _call(router, {"v": 1, "op": "stats"}))["result"]["router"]
+                assert metrics["cluster.rejected_rate"]["value"] >= 1
+                assert shard.frames.count("analyze") == 2
+            finally:
+                await router.drain()
+                shard.close()
 
         asyncio.run(asyncio.wait_for(scenario(), 30.0))

@@ -1,12 +1,18 @@
 """Unit tests for the PWL curve representation."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nc import Curve
+from repro.nc import Curve, eval_batch, packetize_service
 from repro.nc.builders import constant_rate, leaky_bucket, rate_latency
+
+from .conftest import float_curves, nondecreasing_curves
 
 
 class TestConstruction:
@@ -45,8 +51,8 @@ class TestConstruction:
         f = Curve.zero()
         with pytest.raises(AttributeError):
             f.bx = np.array([0.0])
-        with pytest.raises(ValueError):
-            f.by[0] = 3.0  # read-only array
+        with pytest.raises(TypeError):
+            f.by[0] = 3.0  # a tuple
 
     def test_from_breakpoints(self):
         f = Curve.from_breakpoints([0.0, 1.0, 3.0], [0.0, 2.0, 2.0], 1.0)
@@ -262,4 +268,78 @@ class TestPieces:
     def test_sample(self):
         f = constant_rate(2.0)
         out = f.sample([0.0, 1.0, 2.0])
+        assert isinstance(out, np.ndarray)
         assert list(out) == [0.0, 2.0, 4.0]
+
+
+# --------------------------------------------------------------------- #
+# pickle and deepcopy
+# --------------------------------------------------------------------- #
+
+_PACKETIZED = packetize_service(
+    Curve.from_breakpoints([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], 2.0), 0.5
+)
+_SIGNED_ZERO = -Curve.zero()
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [leaky_bucket(1.0, 2.0), rate_latency(3.0, 0.5), _PACKETIZED, _SIGNED_ZERO],
+    ids=["leaky_bucket", "rate_latency", "packetized", "signed_zero"],
+)
+class TestCopies:
+    def test_pickle_round_trip(self, curve):
+        back = pickle.loads(pickle.dumps(curve))
+        assert back == curve
+        assert hash(back) == hash(curve)
+
+    def test_deepcopy(self, curve):
+        back = copy.deepcopy(curve)
+        assert back == curve
+        assert hash(back) == hash(curve)
+
+
+def test_copied_curves_have_the_shapes_they_are_named_for():
+    assert _PACKETIZED.n_breakpoints >= 3
+    assert math.copysign(1.0, _SIGNED_ZERO.by[0]) == -1.0
+
+
+# --------------------------------------------------------------------- #
+# one evaluation semantics for numbers and arrays
+# --------------------------------------------------------------------- #
+
+_curves = st.one_of(nondecreasing_curves(), float_curves()).flatmap(
+    lambda f: st.sampled_from([f, -f])
+)
+_offsets = st.lists(
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=8
+)
+
+
+def _abscissae(f: Curve, offsets: list) -> list:
+    """Every breakpoint, a point inside each segment, and ``offsets``."""
+    ends = [*f.bx[1:], f.bx[-1] + 1.0]
+    return [*f.bx, *((a + b) / 2 for a, b in zip(f.bx, ends)), *offsets]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_curves, _offsets)
+def test_vector_evaluation_equals_the_scalar_path(f, offsets):
+    xs = _abscissae(f, offsets)
+    scalar = [f(x) for x in xs]
+    assert all(type(v) is float for v in scalar)
+    assert f(np.asarray(xs)).tolist() == scalar
+    assert eval_batch(f, xs).tolist() == scalar
+    assert f.sample(xs).tolist() == scalar
+    assert [f(np.float64(x)) for x in xs] == scalar
+
+
+@settings(max_examples=80, deadline=None)
+@given(_curves)
+def test_hash_agrees_with_eq_on_signed_zeros(f):
+    def flip(values):
+        return [-0.0 if v == 0.0 else v for v in values]
+
+    g = Curve._trusted(f.bx, flip(f.by), flip(f.sy), flip(f.sl))
+    assert g == f
+    assert hash(g) == hash(f)

@@ -153,11 +153,12 @@ class TestFallbackParser:
 
     def test_parity_with_tomllib(self, monkeypatch):
         subset = _toml._parse_subset(VALID)
-        if _toml._tomllib is not None:
-            assert subset == _toml._tomllib.loads(VALID)
+        tomllib = _toml._stdlib_toml()
+        if tomllib is not None:
+            assert subset == tomllib.loads(VALID)
 
     def test_loader_uses_fallback_when_tomllib_missing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_toml, "_tomllib", None)
+        monkeypatch.setattr(_toml, "_stdlib_toml", lambda: None)
         spec = load_scenario(_load(tmp_path, VALID))
         assert spec.name == "toml-roundtrip"
         assert spec.expect.throughput_lower_bound == 100e6
@@ -175,14 +176,14 @@ class TestFallbackParser:
         ],
     )
     def test_fallback_errors_carry_line_numbers(self, text, needle, monkeypatch):
-        monkeypatch.setattr(_toml, "_tomllib", None)
+        monkeypatch.setattr(_toml, "_stdlib_toml", lambda: None)
         with pytest.raises(_toml.TomlError) as err:
             _toml.loads(text)
         assert needle in str(err.value)
         assert "line" in str(err.value)
 
     def test_fallback_values(self, monkeypatch):
-        monkeypatch.setattr(_toml, "_tomllib", None)
+        monkeypatch.setattr(_toml, "_stdlib_toml", lambda: None)
         data = _toml.loads(
             'a = 1_000\nb = -2.5e-3\nc = true\nd = "s # not comment"  # comment\n'
             "e = [1, 2.0, [3]]\nf = { x = 1, y = { z = 2 } }\n"

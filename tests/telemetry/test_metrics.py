@@ -67,13 +67,13 @@ class TestHistogram:
         bucket whose *lower* edge it is."""
         h = Histogram([1.0, 2.0, 4.0])
         h.observe(2.0)
-        assert h.counts.tolist() == [0, 0, 1, 0]
+        assert h.counts == [0, 0, 1, 0]
 
     def test_underflow_and_overflow(self):
         h = Histogram([1.0, 2.0])
         h.observe(0.5)
         h.observe(99.0)
-        assert h.counts.tolist() == [1, 0, 1]
+        assert h.counts == [1, 0, 1]
         assert h.vmin == 0.5 and h.vmax == 99.0
 
     def test_mean_is_exact_not_quantised(self):
