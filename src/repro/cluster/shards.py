@@ -82,6 +82,10 @@ class ShardProcess:
         return self.host, self.port
 
     @property
+    def pid(self) -> "int | None":
+        return None if self._process is None else self._process.pid
+
+    @property
     def alive(self) -> bool:
         return self._process is not None and self._process.is_alive()
 

@@ -14,7 +14,7 @@ break it.
 * :mod:`repro.serve.admission` — token bucket + NC self-model;
 * :mod:`repro.serve.service`   — the NDJSON shell: listener, framing,
   in-flight accounting, drain (shared with the cluster router);
-* :mod:`repro.serve.engine`    — admission, cache, process pool;
+* :mod:`repro.serve.engine`    — admission, cache, worker processes;
 * :mod:`repro.serve.server`    — single-node dispatch over the engine;
 * :mod:`repro.serve.client`    — blocking client (``repro request``).
 

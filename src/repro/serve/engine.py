@@ -6,7 +6,7 @@ engine — the TCP listener in :class:`~repro.serve.server.AnalysisServer`,
 a cluster shard process (:mod:`repro.cluster.shards`), or a test —
 without touching process-global state.  The engine installs no signal
 handlers, prints nothing, and keeps no module-level mutable state; one
-engine owns exactly one worker pool, one result cache and one NC
+engine owns its worker processes, one result cache and one NC
 self-model.
 
 The split is shell/engine: the host (:class:`~repro.serve.service.
@@ -16,23 +16,29 @@ lookup, pool dispatch (one :func:`~repro.sweep.runner.evaluate_point`
 call per cache miss), and the ``/capacity`` and ``/stats``
 introspection bodies.
 
-A pool worker that dies breaks the whole pool.  The engine replaces a
-broken pool (once per broken pool, counted in ``serve.pool_restarts``)
-and reruns each call it broke on the replacement, once; a call that
-breaks the replacement too is answered 500 ``worker_died``.
+Each worker is a process of the engine's own, joined to the host's
+event loop by one socket pair (:mod:`repro._worker` holds its body and
+the framing).  A call writes one pickled message to an idle worker and
+awaits the answer that the worker's reader passes back, so it crosses no
+helper thread, and the loop never blocks on a worker.  A worker that
+dies fails only the call it was running.  The engine starts a new
+worker in its place (counted in ``serve.pool_restarts``) and reruns the
+call once on another worker; a call whose rerun dies too is answered
+500 ``worker_died``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
-import threading
+import pickle
+import socket
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
+from .. import _worker
 from ..telemetry.metrics import MetricsRegistry
 from ..sweep.cache import ResultCache, point_key
 from ..sweep.runner import evaluate_point, point_seed
@@ -50,36 +56,6 @@ __all__ = ["ServeConfig", "AnalysisEngine"]
 
 def _default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
-
-
-def _pool_worker_init(parent_pid: int) -> None:
-    """Worker-process initializer: a parent-death watchdog.
-
-    A ``ProcessPoolExecutor`` worker whose parent is SIGKILLed (the
-    cluster chaos path — ``ShardProcess.kill``) never learns: every
-    worker inherits the call-queue write end, so the blocking read
-    never sees EOF and the orphan sits forever, pinning every inherited
-    file descriptor (including the launcher's stdout pipe, which hangs
-    any ``... | tail`` style harness waiting for EOF).  The watchdog
-    thread polls the parent pid and hard-exits the worker the moment it
-    is reparented — workers die with their shard, by whatever signal
-    the shard died.
-
-    ``parent_pid`` is captured in the *parent* at executor construction
-    and shipped via ``initargs``: if the kill lands while this worker is
-    still bootstrapping, ``os.getppid()`` here would already report the
-    reaper and a self-captured "parent" would never change.
-    """
-    if os.getppid() != parent_pid:
-        os._exit(0)  # orphaned before the initializer even ran
-
-    def watch() -> None:
-        while True:
-            time.sleep(1.0)
-            if os.getppid() != parent_pid:
-                os._exit(0)
-
-    threading.Thread(target=watch, daemon=True, name="parent-watchdog").start()
 
 
 @dataclass
@@ -115,8 +91,31 @@ def _calibration_model() -> dict[str, Any]:
     return pipeline_to_dict(blast_pipeline())
 
 
+class WorkerDied(Exception):
+    """A worker process died while it was running a call."""
+
+
+#: the message that asks a worker to exit
+_STOP = _worker.frame(None)
+
+
+class _Worker:
+    """One worker process and the engine's end of its socket."""
+
+    __slots__ = ("process", "sock", "writer", "call")
+
+    def __init__(
+        self, process: multiprocessing.process.BaseProcess, sock: socket.socket
+    ) -> None:
+        self.process = process
+        self.sock = sock
+        self.writer: "asyncio.StreamWriter | None" = None
+        #: the future of the call the worker is running; None while idle
+        self.call: "asyncio.Future[Any] | None" = None
+
+
 class AnalysisEngine:
-    """One shard's evaluation machinery: pool, cache, self-model, admission.
+    """One shard's evaluation machinery: workers, cache, self-model, admission.
 
     Host contract: call :meth:`start` from the owning loop before the
     first :meth:`evaluate`.  The host counts its own in-flight requests
@@ -136,57 +135,138 @@ class AnalysisEngine:
         )
         self.model = SelfModel(self.config.resolved_workers())
         self.admission: "AdmissionController | None" = None
-        self.executor: "ProcessPoolExecutor | None" = None
+        #: the live workers, and those of them waiting for a call
+        self._workers: list[_Worker] = []
+        self._idle: "asyncio.Queue[_Worker]" = asyncio.Queue()
+        #: one task per worker slot, for the engine's life (see _keep)
+        self._slots: list[asyncio.Task[None]] = []
+        self._closing = False
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
 
     async def start(self) -> None:
-        """Create the pool, calibrate, build the admission controller."""
+        """Start the workers, calibrate, build the admission controller."""
         cfg = self.config
-        self.executor = self._new_pool()
+        self._slots = [
+            asyncio.ensure_future(self._keep(self._spawn()))
+            for _ in range(self.model.workers)
+        ]
         if cfg.calibrate > 0:
             await self._calibrate(cfg.calibrate)
         self._build_admission()
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.config.resolved_workers(),
-            initializer=_pool_worker_init,
-            initargs=(os.getpid(),),
+    def _spawn(self) -> _Worker:
+        """Start one worker process, by the default start method."""
+        ours, theirs = socket.socketpair()
+        # a forked worker gets a copy of every engine end open now
+        forks = multiprocessing.get_start_method() == "fork"
+        inherited = (*(w.sock for w in self._workers), ours) if forks else ()
+        process = multiprocessing.Process(
+            target=_worker.main,
+            args=(theirs, inherited),
+            name=f"repro-{self.config.name}-worker",
+            daemon=True,
         )
+        try:
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        worker = _Worker(process, ours)
+        self._workers.append(worker)
+        return worker
 
-    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Swap a broken pool for a new one, once per broken pool: a
-        request that saw the same break after the swap reuses it."""
-        if self.executor is not broken:
-            return
-        broken.shutdown(wait=False)
-        self.executor = self._new_pool()
-        self.metrics.counter("serve.pool_restarts").inc()
+    async def _keep(self, worker: _Worker) -> None:
+        """Keep one worker slot filled for the engine's life.
 
-    async def _run_point(
-        self, args: tuple[Any, ...], timeout: "float | None" = None
-    ) -> dict[str, Any]:
-        """One ``evaluate_point(model, params, options, seed)`` call on the
-        pool, within ``timeout`` seconds (``asyncio.TimeoutError``).  A
-        call the pool broke under runs once more on the replacement, in
-        what is left of ``timeout``; ``BrokenProcessPool`` escapes only if
-        that breaks too.
+        Passes each answer of the slot's worker to its call.  When the
+        worker dies, fails the call it was running and starts another
+        worker in its place; when the engine closes, returns once the
+        worker has exited.
+        """
+        while True:
+            reader, worker.writer = await asyncio.open_connection(sock=worker.sock)
+            if self._closing:
+                worker.writer.write(_STOP)
+            else:
+                self._idle.put_nowait(worker)
+            await self._read(worker, reader)
+            self._workers.remove(worker)
+            worker.writer.close()
+            if worker.call is not None and not worker.call.done():
+                worker.call.set_exception(WorkerDied(
+                    f"worker pid {worker.process.pid} is gone "
+                    f"(exit code {worker.process.exitcode})"
+                ))
+            if self._closing:
+                return
+            self.metrics.counter("serve.pool_restarts").inc()
+            while not self._closing:
+                try:
+                    worker = self._spawn()
+                    break
+                except OSError:  # out of processes or memory: try again
+                    await asyncio.sleep(1.0)
+            else:
+                return  # the engine closed while no worker could start
+
+    async def _read(self, worker: _Worker, reader: asyncio.StreamReader) -> None:
+        """Pass each answer of ``worker`` to its call, until end-of-file."""
+        try:
+            while True:
+                header = await reader.readexactly(_worker.HEADER.size)
+                body = await reader.readexactly(_worker.HEADER.unpack(header)[0])
+                call, worker.call = worker.call, None
+                self._idle.put_nowait(worker)
+                try:
+                    ok, value = pickle.loads(body)
+                except Exception as exc:  # noqa: BLE001 - the call raises it
+                    ok, value = False, exc
+                if call.done():
+                    continue  # a call that timed out drops its late answer
+                if ok:
+                    call.set_result(value)
+                else:
+                    call.set_exception(value)
+        except (EOFError, OSError):
+            return  # the worker exited, or its socket broke
+
+    async def _call(
+        self,
+        function: Callable[..., Any],
+        args: tuple[Any, ...],
+        timeout: "float | None" = None,
+    ) -> Any:
+        """``function(*args)`` on an idle worker, within ``timeout`` seconds
+        (``asyncio.TimeoutError``), the wait for the worker included.  A
+        call whose worker dies runs once more on another worker, in what
+        is left of ``timeout``; :class:`WorkerDied` escapes only if that
+        worker dies too.
         """
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
+        message = _worker.frame((function, args))
         for attempt in range(2):
-            executor = self.executor
+            while True:
+                if not self._idle.empty():
+                    worker = self._idle.get_nowait()
+                else:
+                    left = None if deadline is None else deadline - loop.time()
+                    worker = await asyncio.wait_for(self._idle.get(), left)
+                if not worker.writer.is_closing():
+                    break  # else it died while idle; its slot replaces it
+            worker.call = call = loop.create_future()
+            worker.writer.write(message)
             try:
-                # wait on the executor's future itself: wrapping this
-                # coroutine in wait_for would add a task per request
-                future = loop.run_in_executor(executor, evaluate_point, *args)
+                # wait on the call's future itself: wrapping a coroutine
+                # in wait_for would add a task per call
                 left = None if deadline is None else deadline - loop.time()
-                return await asyncio.wait_for(future, left)
-            except BrokenProcessPool:
-                self._replace_pool(executor)
+                return await asyncio.wait_for(call, left)
+            except WorkerDied:
                 if attempt:
                     raise
 
@@ -194,21 +274,22 @@ class AnalysisEngine:
         """Prime worker imports and the NC self-model with measured times.
 
         First a parallel warm-up (one task per worker, so every process
-        pays its NumPy import before traffic arrives), then ``n``
-        sequential timed evaluations: in-worker compute time feeds the
-        service-curve rate, and the best-case (submit - compute) gap
-        estimates the dispatch latency ``T``.
+        pays its imports before traffic arrives), then ``n`` sequential
+        timed evaluations: in-worker compute time feeds the service-curve
+        rate, and the best-case (submit - compute) gap estimates the
+        dispatch latency ``T``.
         """
         model = _calibration_model()
         options = {"simulate": False, "packetized": False, "workload": None, "base_seed": 42}
         warmups = [
-            self._run_point((model, {}, options, i)) for i in range(self.model.workers)
+            self._call(evaluate_point, (model, {}, options, i))
+            for i in range(self.model.workers)
         ]
         await asyncio.gather(*warmups)
         dispatch_gaps = []
         for i in range(n):
             t0 = time.perf_counter()
-            out = await self._run_point((model, {}, options, i))
+            out = await self._call(evaluate_point, (model, {}, options, i))
             wall = time.perf_counter() - t0
             compute = float(out.get("elapsed", 0.0))
             self.model.observe(compute)
@@ -232,11 +313,19 @@ class AnalysisEngine:
             self.admission = None  # open door: no envelope configured
 
     async def aclose(self) -> None:
-        """Stop the pool (after its tasks finish) and close the cache."""
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
-        if self.cache is not None:
-            self.cache.close()
+        """Stop the workers (each after its running call) and close the cache."""
+        self._closing = True
+        workers = list(self._workers)
+        for worker in workers:
+            if worker.writer is not None:  # else its slot sends the stop
+                worker.writer.write(_STOP)
+        try:
+            await asyncio.gather(*self._slots)  # each returns at its worker's exit
+        finally:
+            for worker in workers:
+                worker.process.join()
+            if self.cache is not None:
+                self.cache.close()
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -271,7 +360,8 @@ class AnalysisEngine:
             # to one result no matter which subsystem computed it first
             seed = point_seed(int(req.options.get("base_seed", 42)), req.params)
             try:
-                out = await self._run_point(
+                out = await self._call(
+                    evaluate_point,
                     (req.model or {}, req.params, req.options, seed),
                     self.config.request_timeout_s,
                 )
@@ -283,13 +373,13 @@ class AnalysisEngine:
                     message=f"evaluation exceeded {self.config.request_timeout_s} s "
                     "(the worker task keeps running; retry may hit the cache)",
                 )
-            except BrokenProcessPool as exc:
+            except WorkerDied as exc:
                 return error_response(
                     req.id,
                     status=500,
                     code="worker_died",
-                    message="the pool worker died evaluating this request, on "
-                    f"the pool and on its replacement (killed? out of memory?): {exc}",
+                    message="the worker died evaluating this request, and so did "
+                    f"the worker it was rerun on (killed? out of memory?): {exc}",
                 )
             if "error" not in out and self.cache is not None:
                 self.cache.put(key, out)

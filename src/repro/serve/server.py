@@ -8,25 +8,28 @@ Architecture (stdlib only)::
         -> one AnalysisEngine                  (repro.serve.engine)
             -> admission control               (repro.serve.admission)
             -> content-addressed cache lookup  (repro.sweep.cache)
-            -> ProcessPoolExecutor             (repro.sweep.runner.evaluate_point)
+            -> an idle worker process          (repro._worker, evaluate_point)
 
     CPU-bound NC math and DES runs execute on worker *processes*, so
     the event loop only ever parses lines, checks tokens, and reads
-    small cache files — it never blocks on a curve convolution.
+    small cache files — it never blocks on a curve convolution.  Each
+    worker is joined to the loop by one socket pair: the loop writes a
+    length-prefixed pickle of the call and reads the answer through an
+    asyncio stream, with no helper thread in between.
 
 :class:`AnalysisServer` is a :class:`~repro.serve.service.NdjsonService`
 that owns one :class:`~repro.serve.engine.AnalysisEngine`: the shell
 handles sockets, framing, in-flight accounting and the drain; this
-module adds only the single-node dispatch, engine startup (pool,
-calibration, admission) and engine release (the pool).  The cluster
+module adds only the single-node dispatch, engine startup (workers,
+calibration, admission) and engine release (the workers).  The cluster
 tier (:mod:`repro.cluster`) runs the same server in N shard processes.
 
-Lifecycle: ``start()`` spins up the pool, runs a calibration pass
-(which both pre-imports NumPy in the workers and primes the NC
+Lifecycle: ``start()`` starts the workers, runs a calibration pass
+(which both pre-imports the analysis in the workers and primes the NC
 self-model with measured service times), derives the admission envelope
 when asked, and begins accepting.  SIGTERM/SIGINT request a graceful
 drain: the listener closes, in-flight requests complete and are
-answered within ``drain_timeout_s``, the pool shuts down, and the
+answered within ``drain_timeout_s``, the workers exit, and the
 connections close.
 The exit code is 0 iff no admitted request was dropped.
 """
@@ -122,7 +125,7 @@ def run(config: "ServeConfig | None" = None, *, on_ready=None) -> int:
 class ServerThread(ServiceThread):
     """A server hosted on a background thread — the test/benchmark harness.
 
-    Runs the full production path (real sockets, real worker pool,
+    Runs the full production path (real sockets, real workers,
     real drain) without a subprocess::
 
         with ServerThread(ServeConfig(port=0)) as srv:

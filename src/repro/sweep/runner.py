@@ -13,7 +13,9 @@ it — which buys three properties at once:
 A sweep parses its base document once (:attr:`SweepSpec.pipeline`) and
 hands every point the parsed pipeline, which the point changes by its
 params (:func:`~repro.sweep.spec.apply_params`); a served request or a
-catalog scenario brings a document, which the point parses.
+catalog scenario brings a document, which the point parses.  A process
+pool receives a model that all its points share once per worker, and
+the points without it.
 
 Per-point seeds derive from the spec's base seed and the point's
 parameters via SHA-256, so they are stable across runs, processes, and
@@ -205,9 +207,42 @@ Payload = tuple[
 
 
 def _evaluate_payload(payload: Payload) -> dict[str, Any]:
-    """Pool entry point (module-level so it pickles)."""
+    """Evaluate one payload (module-level so it pickles)."""
     model, params, options, seed = payload
     return evaluate_point(model, params, options, seed)
+
+
+#: in a pool worker, the model its pool's payloads are sent without
+_shared_model: "Mapping[str, Any] | Pipeline | None" = None
+
+
+def _share_model(model: "Mapping[str, Any] | Pipeline | None") -> None:
+    """Pool initializer: keep the model the pool's payloads are sent without."""
+    global _shared_model
+    _shared_model = model
+
+
+def _evaluate_in_pool(payload: Payload) -> dict[str, Any]:
+    """Pool entry point: a payload without a model takes the shared one."""
+    model, params, options, seed = payload
+    return _evaluate_payload(
+        (_shared_model if model is None else model, params, options, seed)
+    )
+
+
+def _pool(workers: int, shared: "Mapping[str, Any] | Pipeline | None") -> Any:
+    """A process pool whose workers each receive ``shared`` once."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_share_model, initargs=(shared,)
+    )
+
+
+def _sent(payload: Payload, shared: "Mapping[str, Any] | Pipeline | None") -> Payload:
+    """``payload`` as submitted to a pool that holds ``shared``."""
+    model, params, options, seed = payload
+    return (None if model is shared else model, params, options, seed)
 
 
 def evaluate_points(
@@ -270,11 +305,13 @@ def _run_parallel(
     * any other per-future failure (e.g. result transport) — the point
       is left for the serial fill-in.
     """
+    # a sweep's points share its parsed base: each worker receives it once
+    model = payloads[pending[0]][0]
+    shared = model if all(payloads[i][0] is model for i in pending) else None
     try:
-        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        executor = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+        executor = _pool(min(jobs, len(pending)), shared)
     except Exception:  # pool creation failure (e.g. no sem support)
         return "parallel-degraded"
     mode = "parallel"
@@ -284,7 +321,9 @@ def _run_parallel(
         futures = {}
         try:
             for i in pending:
-                futures[i] = executor.submit(_evaluate_payload, payloads[i])
+                futures[i] = executor.submit(
+                    _evaluate_in_pool, _sent(payloads[i], shared)
+                )
         except BrokenProcessPool:
             broken = True  # a worker died before the last submission
         except Exception:  # submission failure: nothing parallel ran
@@ -307,7 +346,7 @@ def _run_parallel(
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
     if suspects:
-        _isolate_casualties(raw, suspects, payloads)
+        _isolate_casualties(raw, suspects, payloads, shared)
         mode = "parallel-degraded"
     return mode
 
@@ -316,6 +355,7 @@ def _isolate_casualties(
     raw: dict[int, dict[str, Any]],
     suspects: Sequence[int],
     payloads: Sequence[Payload],
+    shared: "Mapping[str, Any] | Pipeline | None",
 ) -> None:
     """Evaluate the points a broken pool took down, one per worker.
 
@@ -325,7 +365,6 @@ def _isolate_casualties(
     Any other failure (no pool, no result) leaves the point to the
     caller's serial fill-in, as in :func:`_run_parallel`.
     """
-    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     executor = None
@@ -333,8 +372,10 @@ def _isolate_casualties(
         for i in suspects:
             try:
                 if executor is None:
-                    executor = ProcessPoolExecutor(max_workers=1)
-                raw[i] = executor.submit(_evaluate_payload, payloads[i]).result()
+                    executor = _pool(1, shared)
+                raw[i] = executor.submit(
+                    _evaluate_in_pool, _sent(payloads[i], shared)
+                ).result()
             except BrokenProcessPool as exc:
                 detail = f": {exc}" if str(exc) else ""
                 raw[i] = {

@@ -112,6 +112,9 @@ class TestDrainDuringDeath:
             supervise=False,  # the victim must STAY dead through the drain
         )
         responses: list[dict] = []
+        # the kill lands while the pump is mid-stream, however fast the
+        # cluster answers: after the pump's second answer, with ten to go
+        second_answer = threading.Event()
 
         with ClusterThread(config) as cluster:
             victim = cluster.shards[0]
@@ -124,10 +127,12 @@ class TestDrainDuringDeath:
                         responses.append(
                             client.analyze(model, {"scale:network": 1.0 + i * 0.25})
                         )
+                        if len(responses) == 2:
+                            second_answer.set()
 
             thread = threading.Thread(target=pump)
             thread.start()
-            time.sleep(0.3)  # let requests get in flight
+            assert second_answer.wait(60.0)
             victim.kill()
             thread.join(60.0)
             assert not thread.is_alive()

@@ -1,20 +1,32 @@
-"""The engine's pool dispatch.  A pool worker that dies costs the engine
-one pool replacement, not the shard: the calls the broken pool took down
-rerun on the new pool, and a call that breaks that one too gets an error
-naming the death.  A call slower than the request timeout is answered
-408 while the engine goes on answering."""
+"""The engine's pool dispatch.  A worker that dies costs the engine one
+new worker, not the shard: the call it was running reruns on another
+worker, and a call whose rerun dies too gets an error naming the death.
+A call slower than the request timeout is answered 408 while the engine
+goes on answering.  Workers die with their engine: a SIGKILLed server
+or shard leaves no worker behind.
 
+The in-process server forks its workers (the default start method); a
+cluster shard spawns them, so the cluster cases run the spawned path.
+"""
+
+import contextlib
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.apps.blast import blast_pipeline
+from repro.cluster import ClusterConfig, ClusterThread
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve import engine as engine_mod
+from repro.serve.protocol import evaluation_options
 from repro.streaming import pipeline_to_dict
+from repro.sweep.cache import point_key
 from repro.sweep.runner import evaluate_point
 
 MODEL = pipeline_to_dict(blast_pipeline())
@@ -23,9 +35,12 @@ KILLER = {"scale:network": 13.0}
 #: the params whose evaluation takes 2 s
 SLOW = {"scale:network": 17.0}
 
-pytestmark = pytest.mark.skipif(
+fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method(allow_none=True) not in (None, "fork"),
     reason="worker-death injection relies on the fork start method",
+)
+linux_only = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="finds processes through /proc"
 )
 
 
@@ -51,24 +66,64 @@ def _restarts(client):
     return client.stats()["result"]["metrics"]["serve.pool_restarts"]["value"]
 
 
+def _stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name, or None."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _children(pid):
+    """The pids of ``pid``'s child processes."""
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat(entry.name)
+            if fields is not None and int(fields[1]) == pid:
+                kids.append(int(entry.name))
+    return kids
+
+
+def _still_running(pids, within_s):
+    """The pids among ``pids`` that have not exited after ``within_s``
+    seconds (an unreaped zombie has exited)."""
+    deadline = time.monotonic() + within_s
+    while True:
+        running = [p for p in pids if (_stat(p) or ["Z"])[0] not in ("Z", "X")]
+        if not running or time.monotonic() > deadline:
+            return running
+        time.sleep(0.05)
+
+
+def _kill_all(pids):
+    """SIGKILL what a failed orphan check left running."""
+    for pid in _still_running(pids, within_s=0.0):
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+
+
+@fork_only
 def test_sigkilled_worker_is_replaced_and_the_next_requests_answer():
     with ServerThread(ServeConfig(port=0, workers=1, calibrate=0)) as srv:
         with ServeClient(srv.host, srv.port) as c:
             assert c.analyze(MODEL)["ok"]
-            (pid,) = srv.app.engine.executor._processes
+            (worker,) = srv.app.engine._workers
+            pid = worker.process.pid
             os.kill(pid, signal.SIGKILL)
             answers = [c.analyze(MODEL, params={"scale:network": 1.0 + i}) for i in range(3)]
             assert [a["status"] for a in answers] == [200, 200, 200], answers
             assert _restarts(c) == 1
 
 
+@fork_only
 def test_request_that_always_kills_its_worker_gets_a_named_error(monkeypatch):
     monkeypatch.setattr(engine_mod, "evaluate_point", _killing_evaluate_point)
     with ServerThread(ServeConfig(port=0, workers=1, calibrate=0)) as srv:
         with ServeClient(srv.host, srv.port) as c:
             killed = c.analyze(MODEL, params=KILLER)
             after = c.analyze(MODEL, params={"scale:network": 2.0})
-            # the pool and its one replacement broke; no third restart
+            # the worker and its one replacement died; no third restart
             assert _restarts(c) == 2
     assert killed["status"] == 500
     assert killed["error"]["code"] == "worker_died"
@@ -76,6 +131,7 @@ def test_request_that_always_kills_its_worker_gets_a_named_error(monkeypatch):
     assert after["ok"], after
 
 
+@fork_only
 def test_slow_evaluation_is_408_and_the_engine_keeps_answering(monkeypatch):
     monkeypatch.setattr(engine_mod, "evaluate_point", _slow_evaluate_point)
     config = ServeConfig(port=0, workers=2, calibrate=0, request_timeout_s=0.5)
@@ -85,3 +141,68 @@ def test_slow_evaluation_is_408_and_the_engine_keeps_answering(monkeypatch):
             after = c.analyze(MODEL, params={"scale:network": 2.0})
     assert slow["status"] == 408 and slow["error"]["code"] == "timeout"
     assert after["ok"], after
+
+
+@linux_only
+def test_sigkilled_shard_worker_is_replaced_and_the_shard_answers(tmp_path):
+    config = ClusterConfig(
+        shards=2, workers_per_shard=1, calibrate=0,
+        cache_dir=str(tmp_path / "cache"), supervise=False,
+    )
+    with ClusterThread(config) as cluster:
+        victim = cluster.shards[0]
+        options = evaluation_options({}, op="analyze")
+        owned = [
+            params for params in ({"scale:network": 1.0 + 0.25 * i} for i in range(32))
+            if cluster.router.ring.route(point_key(MODEL, params, options)) == victim.name
+        ][:3]
+        (worker,) = _children(victim.pid)
+        os.kill(worker, signal.SIGKILL)
+        with ServeClient(cluster.host, cluster.port) as c:
+            answers = [c.analyze(MODEL, params=params) for params in owned]
+            shard_stats = c.stats()["result"]["shards"][victim.name]
+    assert [a["status"] for a in answers] == [200, 200, 200], answers
+    assert {a["result"]["shard"] for a in answers} == {victim.name}
+    assert shard_stats["metrics"]["serve.pool_restarts"]["value"] == 1
+
+
+@linux_only
+def test_workers_of_a_sigkilled_server_exit():
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2", "--calibrate", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    workers = []
+    try:
+        line = ""
+        for line in server.stdout:
+            if "listening" in line:
+                break
+        workers = _children(server.pid)
+        assert len(workers) == 2, line
+        server.kill()
+        server.wait(30)
+        assert _still_running(workers, within_s=5.0) == []
+    finally:
+        server.kill()
+        server.wait(30)
+        server.stdout.close()
+        _kill_all(workers)
+
+
+@linux_only
+def test_workers_of_a_sigkilled_shard_exit(tmp_path):
+    config = ClusterConfig(
+        shards=1, workers_per_shard=2, calibrate=0,
+        cache_dir=str(tmp_path / "cache"), supervise=False,
+    )
+    with ClusterThread(config) as cluster:
+        victim = cluster.shards[0]
+        workers = _children(victim.pid)
+        assert len(workers) == 2
+        victim.kill()
+        try:
+            assert _still_running(workers, within_s=5.0) == []
+        finally:
+            _kill_all(workers)

@@ -4,7 +4,8 @@ Every check starts a fresh interpreter, as a user's process starts.  The
 batch entry modules with an NC-only sweep point, and the serving
 processes, load neither NumPy nor the DES, the figures or ``tomllib``.
 A simulated point loads them when it runs, and answers as it does in a
-process that had them from the start.
+process that had them from the start.  A spawned engine worker, as a
+cluster shard starts them, loads nothing of the serving stack.
 """
 
 from __future__ import annotations
@@ -38,6 +39,36 @@ heavy = [m for m in {HEAVY!r} if m in sys.modules]
 sim = repro.sweep.evaluate_point(model, {PARAMS!r}, {SIMULATED!r}, {SEED})
 print(json.dumps({{"new": new, "heavy": heavy, "nc": nc, "sim": sim}}))
 """
+
+
+#: a shard's engine with one spawned worker (a shard's own start method),
+#: run from a ``-c`` main as a shard is; after one NC-only call the
+#: worker reports what it has imported
+SPAWNED_WORKER = f"""
+import asyncio, json, multiprocessing
+from repro.apps.blast import blast_pipeline
+from repro.serve.engine import AnalysisEngine, ServeConfig
+from repro.streaming import pipeline_to_dict
+from repro.sweep import evaluate_point
+
+async def main():
+    engine = AnalysisEngine(ServeConfig(workers=1, calibrate=0))
+    await engine.start()
+    try:
+        model = pipeline_to_dict(blast_pipeline())
+        nc = await engine._call(evaluate_point, (model, {PARAMS!r}, {NC_ONLY!r}, {SEED}))
+        # eval pickles by name, so the worker runs it
+        modules = await engine._call(eval, ("sorted(__import__('sys').modules)",))
+    finally:
+        await engine.aclose()
+    return nc, modules
+
+multiprocessing.set_start_method("spawn")
+nc, modules = asyncio.run(main())
+print(json.dumps({{"nc": nc, "modules": modules}}))
+"""
+#: what a worker runs none of
+SERVING_STACK = ("asyncio", "concurrent.futures.process", "repro.serve", "numpy")
 
 
 def _python(code: str) -> str:
@@ -84,3 +115,10 @@ def test_serving_entry_modules_load_no_heavy_module():
         f"print([m for m in {HEAVY!r} if m in sys.modules])\n"
     )
     assert _python(code) == "[]\n"
+
+
+def test_spawned_worker_loads_nothing_of_the_serving_stack():
+    child = json.loads(_python(SPAWNED_WORKER))
+    assert "error" not in child["nc"], child["nc"]
+    assert "repro.sweep.runner" in child["modules"]
+    assert [m for m in SERVING_STACK if m in child["modules"]] == []
