@@ -2,9 +2,11 @@
 
 An engine (:mod:`repro.serve.engine`) joins each of its worker
 processes to its event loop by one socket pair.  Every message, either
-way, is a pickle behind an 8-byte big-endian length.  The engine sends
-``(function, args)``; the worker calls ``function(*args)`` and answers
-``(True, result)``, or ``(False, exception)`` when the call raised.
+way, is a pickle behind an 8-byte big-endian length.  A worker first
+sends an empty message, which says it has booted; the engine sends it
+no call before that.  The engine sends ``(function, args)``; the worker
+calls ``function(*args)`` and answers ``(True, result)``, or
+``(False, exception)`` when the call raised.
 ``None`` asks the worker to exit, and so does end-of-file: the engine's
 end of the socket closes when the engine's process dies, however it
 dies, so a worker never outlives its engine by more than the call it is
@@ -47,6 +49,7 @@ def main(sock: socket.socket, inherited: "tuple[socket.socket, ...]" = ()) -> No
         end.close()
     with sock, sock.makefile("rb") as stream:
         try:
+            sock.sendall(HEADER.pack(0))  # booted
             while True:
                 header = stream.read(HEADER.size)
                 if len(header) < HEADER.size:

@@ -39,6 +39,7 @@ import random
 import time
 from typing import Any
 
+from ..serve.engine import backoff_delay
 from ..serve.protocol import MAX_LINE_BYTES, PROTOCOL_VERSION, encode
 from .router import ClusterRouter
 from .shards import ShardProcess
@@ -55,9 +56,6 @@ FAILED = "failed"
 PROBE_FAILURES = 2
 #: restart attempts per incident before the shard is declared failed
 MAX_RESTART_ATTEMPTS = 8
-#: full-jitter backoff: attempt k waits U(0, min(cap, base * 2^k)) seconds
-BACKOFF_BASE_S = 0.25
-BACKOFF_CAP_S = 8.0
 
 
 class ShardSupervisor:
@@ -189,9 +187,9 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
 
     def backoff_delay(self, attempt: int) -> float:
-        """Exponential backoff with full jitter: ``U(0, min(cap, b*2^k))``."""
-        cap = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2.0 ** attempt))
-        return self._rng.uniform(0.0, cap)
+        """Exponential backoff with full jitter: ``U(0, min(cap, b*2^k))``,
+        the rule an engine's worker slots use too."""
+        return backoff_delay(attempt, self._rng)
 
     def _begin_restart(self, name: str) -> None:
         self.states[name] = RESTARTING

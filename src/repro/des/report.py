@@ -51,6 +51,10 @@ class SimulationReport:
     max_backlog_bytes: float
     backlog: "StepSeries"
     stages: list[StageStats]
+    #: :meth:`virtual_delay_samples` already computed, by its arguments
+    _virtual_delays: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def throughput(self) -> float:
@@ -95,25 +99,45 @@ class SimulationReport:
         """
         from .monitor import DelayStats
 
-        at, ac = self.arrivals.arrays()
-        dt, dc = self.departures.arrays()
-        out = DelayStats()
+        delays, _ = self.virtual_delay_samples(levels, skip_initial_fraction)
+        return DelayStats.from_values(delays.tolist())
+
+    def virtual_delay_samples(
+        self, levels: int = 512, skip_initial_fraction: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(delays, departure_times)`` at the byte levels of
+        :meth:`observed_virtual_delays`, each level's delay with the time
+        its last byte departed; empty when nothing departed.
+
+        Computed once per ``(levels, skip_initial_fraction)`` and kept
+        (read-only), so the report's summary and the conformance delay
+        check share one computation.
+        """
+        key = (levels, skip_initial_fraction)
+        if key not in self._virtual_delays:
+            self._virtual_delays[key] = self._sample_virtual_delays(*key)
+        return self._virtual_delays[key]
+
+    def _sample_virtual_delays(
+        self, levels: int, skip_initial_fraction: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         if self.output_bytes <= 0:
-            return out
+            return np.empty(0), np.empty(0)
         if not 0.0 <= skip_initial_fraction < 1.0:
             raise ValueError("skip_initial_fraction must be in [0, 1)")
+        at, ac = self.arrivals.arrays()
+        dt, dc = self.departures.arrays()
         y0 = max(self.output_bytes / levels, self.output_bytes * skip_initial_fraction)
         ys = np.linspace(y0, self.output_bytes, levels)
         # first time each cumulative step-function reaches >= y: steps jump
         # AT their recorded times, so searchsorted on the cumulative values
         # returns the index of the reaching step.
-        ai = np.searchsorted(ac, ys - 1e-9, side="left")
-        di = np.searchsorted(dc, ys - 1e-9, side="left")
-        ai = np.clip(ai, 0, len(at) - 1)
-        di = np.clip(di, 0, len(dt) - 1)
-        for y, t_in, t_out in zip(ys, at[ai], dt[di]):
-            out.record(max(0.0, float(t_out - t_in)))
-        return out
+        ai = np.clip(np.searchsorted(ac, ys - 1e-9, side="left"), 0, len(at) - 1)
+        di = np.clip(np.searchsorted(dc, ys - 1e-9, side="left"), 0, len(dt) - 1)
+        t_out = dt[di]
+        delays = np.maximum(0.0, t_out - at[ai])
+        delays.flags.writeable = t_out.flags.writeable = False
+        return delays, t_out
 
     def conservation_ok(self, tol: float = 1e-6) -> bool:
         """Check byte conservation: everything injected eventually departed."""

@@ -24,7 +24,11 @@ helper thread, and the loop never blocks on a worker.  A worker that
 dies fails only the call it was running.  The engine starts a new
 worker in its place (counted in ``serve.pool_restarts``) and reruns the
 call once on another worker; a call whose rerun dies too is answered
-500 ``worker_died``.
+500 ``worker_died``.  A new worker gets calls only once it says it has
+booted.  One that dies before that may be unable to boot at all, so its
+slot waits a full-jitter backoff (:func:`backoff_delay`, the shard
+supervisor's rule) before the next start, longer after each such death
+in a row; a call waiting for a worker meanwhile is charged nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import asyncio
 import multiprocessing
 import os
 import pickle
+import random
 import socket
 import time
 from dataclasses import dataclass
@@ -91,6 +96,18 @@ def _calibration_model() -> dict[str, Any]:
     return pipeline_to_dict(blast_pipeline())
 
 
+#: full-jitter backoff: attempt k waits U(0, min(cap, base * 2^k)) seconds
+BACKOFF_BASE_S = 0.25
+BACKOFF_CAP_S = 8.0
+
+
+def backoff_delay(attempt: int, rng: "random.Random | None" = None) -> float:
+    """The wait before restart ``attempt`` (from 0): exponential backoff
+    with full jitter, ``U(0, min(cap, base * 2^attempt))``."""
+    cap = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2.0 ** attempt))
+    return (rng or random).uniform(0.0, cap)
+
+
 class WorkerDied(Exception):
     """A worker process died while it was running a call."""
 
@@ -140,7 +157,7 @@ class AnalysisEngine:
         self._idle: "asyncio.Queue[_Worker]" = asyncio.Queue()
         #: one task per worker slot, for the engine's life (see _keep)
         self._slots: list[asyncio.Task[None]] = []
-        self._closing = False
+        self._closing = asyncio.Event()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -185,16 +202,17 @@ class AnalysisEngine:
 
         Passes each answer of the slot's worker to its call.  When the
         worker dies, fails the call it was running and starts another
-        worker in its place; when the engine closes, returns once the
-        worker has exited.
+        worker in its place: at once if the worker had booted, after a
+        backoff that grows with each boot death in a row if not.  When
+        the engine closes, returns once the worker has exited, or at
+        once if no worker is running.
         """
+        boot_deaths = 0
         while True:
             reader, worker.writer = await asyncio.open_connection(sock=worker.sock)
-            if self._closing:
+            if self._closing.is_set():
                 worker.writer.write(_STOP)
-            else:
-                self._idle.put_nowait(worker)
-            await self._read(worker, reader)
+            booted = await self._read(worker, reader)
             self._workers.remove(worker)
             worker.writer.close()
             if worker.call is not None and not worker.call.done():
@@ -202,20 +220,36 @@ class AnalysisEngine:
                     f"worker pid {worker.process.pid} is gone "
                     f"(exit code {worker.process.exitcode})"
                 ))
-            if self._closing:
+            boot_deaths = 0 if booted else boot_deaths + 1
+            if boot_deaths and not await self._pause(backoff_delay(boot_deaths - 1)):
+                return
+            if self._closing.is_set():
                 return
             self.metrics.counter("serve.pool_restarts").inc()
-            while not self._closing:
+            while True:
                 try:
                     worker = self._spawn()
                     break
                 except OSError:  # out of processes or memory: try again
-                    await asyncio.sleep(1.0)
-            else:
-                return  # the engine closed while no worker could start
+                    if not await self._pause(1.0):
+                        return  # the engine closed while no worker could start
 
-    async def _read(self, worker: _Worker, reader: asyncio.StreamReader) -> None:
-        """Pass each answer of ``worker`` to its call, until end-of-file."""
+    async def _pause(self, seconds: float) -> bool:
+        """Wait ``seconds``, or less if the engine closes; False if it did."""
+        try:
+            await asyncio.wait_for(self._closing.wait(), seconds)
+        except asyncio.TimeoutError:
+            return True
+        return False
+
+    async def _read(self, worker: _Worker, reader: asyncio.StreamReader) -> bool:
+        """Make ``worker`` idle once it has booted, then pass each of its
+        answers to its call, until end-of-file; True if it booted."""
+        try:
+            await reader.readexactly(_worker.HEADER.size)  # the empty "booted"
+        except (EOFError, OSError):
+            return False
+        self._idle.put_nowait(worker)
         try:
             while True:
                 header = await reader.readexactly(_worker.HEADER.size)
@@ -233,7 +267,7 @@ class AnalysisEngine:
                 else:
                     call.set_exception(value)
         except (EOFError, OSError):
-            return  # the worker exited, or its socket broke
+            return True  # the worker exited, or its socket broke
 
     async def _call(
         self,
@@ -314,7 +348,7 @@ class AnalysisEngine:
 
     async def aclose(self) -> None:
         """Stop the workers (each after its running call) and close the cache."""
-        self._closing = True
+        self._closing.set()
         workers = list(self._workers)
         for worker in workers:
             if worker.writer is not None:  # else its slot sends the stop

@@ -53,8 +53,9 @@ __all__ = [
 
 #: bump to invalidate every existing cache entry
 #: v2: results grew metrics + conformance sections; v3: the DES no longer
-#: serves a job's sub-nanobyte excess as an extra job (``des`` payloads change)
-CACHE_SCHEMA_VERSION = 3
+#: serves a job's sub-nanobyte excess as an extra job (``des`` payloads change);
+#: v4: the arrival check replays every window (``arrival.source`` changes)
+CACHE_SCHEMA_VERSION = 4
 
 #: the store's one file inside a cache directory
 STORE_FILE = "cache.sqlite3"

@@ -22,11 +22,10 @@ parameters via SHA-256, so they are stable across runs, processes, and
 grid reorderings — adding an axis does not reshuffle existing points'
 draws.
 
-Curve evaluations over the grid go through the kernel's batched entry
-point (:func:`repro.nc.kernel.eval_batch`) — the conformance replay a
-simulated point runs (:mod:`repro.telemetry.conformance`) evaluates the
-whole arrival record and all pairwise windows as single vectorized
-calls.
+The conformance replay a simulated point runs
+(:mod:`repro.telemetry.conformance`) checks every window of the arrival
+record in one linear pass, and shares the report's virtual delays with
+the point's ``des`` block: they are computed once per point.
 
 Worker-pool failures degrade gracefully: if the pool cannot be created,
 the whole sweep runs serially; if a worker *dies mid-point* (OOM kill,

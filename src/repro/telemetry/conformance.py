@@ -12,11 +12,13 @@ Checks
 ``delay.end_to_end``
     observed virtual delays (horizontal deviation between the cumulative
     arrival and departure records — the per-job latency the bound
-    ``d = h(alpha, beta)`` constrains) against the delay bound;
+    ``d = h(alpha, beta)`` constrains) against the delay bound, from the
+    samples the report computes once for its own summary too;
 ``arrival.source``
     observed cumulative arrivals against ``alpha(t) + l_max`` — from the
-    origin and over a sample of sliding windows (``l_max`` is one source
-    packet: admission is packet-granular while ``alpha`` is fluid);
+    origin and over every window ``t_i < t_j`` of the record, in one
+    linear pass (``l_max`` is one source packet: admission is
+    packet-granular while ``alpha`` is fluid);
 ``backlog.system``
     the total-resident-bytes step series against the backlog bound ``x``;
 ``queue.<stage>``
@@ -205,33 +207,25 @@ def check_delay(
     """Observed virtual delays vs the delay bound.
 
     Samples the horizontal deviation between the cumulative arrival and
-    departure records at ``levels`` byte levels (the same quantity
-    :meth:`SimulationReport.observed_virtual_delays` reports, kept here
-    with its departure times so violations can be located in time).
-    ``skip_initial_fraction`` discards the pipeline-fill transient,
-    matching the paper's steady-state observation window.
+    departure records at ``levels`` byte levels: the samples of
+    :meth:`SimulationReport.observed_virtual_delays`, computed once per
+    report and kept with their departure times so violations can be
+    located in time.  ``skip_initial_fraction`` discards the
+    pipeline-fill transient, matching the paper's steady-state
+    observation window.
     """
-    at, ac = sim.arrivals.arrays()
-    dt, dc = sim.departures.arrays()
-    total = sim.output_bytes
-    if total <= 0:
+    delays, t_out = sim.virtual_delay_samples(levels, skip_initial_fraction)
+    if not len(delays):
         return CheckResult("delay.end_to_end", "end-to-end", 0, math.nan, bound)
-    if not 0.0 <= skip_initial_fraction < 1.0:
-        raise ValueError("skip_initial_fraction must be in [0, 1)")
-    y0 = max(total / levels, total * skip_initial_fraction)
-    ys = np.linspace(y0, total, levels)
-    ai = np.clip(np.searchsorted(ac, ys - 1e-9, side="left"), 0, len(at) - 1)
-    di = np.clip(np.searchsorted(dc, ys - 1e-9, side="left"), 0, len(dt) - 1)
-    delays = np.maximum(0.0, dt[di] - at[ai])
     worst = float(np.max(delays))
     bad = np.nonzero(delays > bound * (1.0 + rtol))[0]
     violations = tuple(
-        Violation("delay.end_to_end", "end-to-end", float(dt[di[i]]),
+        Violation("delay.end_to_end", "end-to-end", float(t_out[i]),
                   float(delays[i]), bound)
         for i in bad[:8]
     )
     return CheckResult(
-        "delay.end_to_end", "end-to-end", len(ys), worst, bound, violations
+        "delay.end_to_end", "end-to-end", len(delays), worst, bound, violations
     )
 
 
@@ -240,58 +234,139 @@ def check_arrivals(
     alpha: Curve,
     l_max: float,
     *,
-    max_windows: int = 256,
     rtol: float = 1e-3,
 ) -> CheckResult:
     """Observed cumulative arrivals vs ``alpha(t) + l_max``.
 
     Checks the arrival record from the origin at every step, and over
-    all pairwise windows of a ``<= max_windows``-point decimation (the
-    arrival-curve statement constrains *every* window, not just those
-    anchored at zero).  ``l_max`` absorbs packet-granular admission.
+    every window ``t_i < t_j`` of it (the arrival-curve statement
+    constrains *every* window, not just those anchored at zero).
+    ``l_max`` absorbs packet-granular admission.  ``alpha`` must be
+    concave and nondecreasing on ``t > 0``, as every leaky bucket and
+    minimum of them is; then the worst window ending at each step is a
+    running minimum per linear piece of ``alpha`` (:func:`_lines`), and
+    the check takes O(n) time and memory per piece over an n-step record
+    (O(n log n) for a piece whose envelope is under one byte at short
+    lags).  A failing check lists up to 8 violations, each a real window
+    found by one scan of the windows ending at its step.
     """
     at, ac = sim.arrivals.arrays()
     n = len(at)
     if n == 0 or ac[-1] <= 0:
         return CheckResult("arrival.source", "source", 0, 0.0, l_max)
-    slack = l_max * (1.0 + rtol) + rtol * float(ac[-1])
+    rates, bursts = _lines(alpha)
+    # each piece's envelope is r*lag + floor, alpha taken at lag + _EPS as
+    # everywhere in this check
+    floors = bursts + rates * _EPS + l_max
 
     # from-origin: A(t) <= alpha(t+) + l_max at every recorded step
     env0 = eval_batch(alpha, at + _EPS) + l_max
     bad0 = np.nonzero(ac > env0 + rtol * np.maximum(1.0, env0))[0]
 
-    # windowed: decimate, then test all i<j increments.  The indices are
-    # sorted, so dropping repeats needs no np.unique, which imports numpy.ma
-    idx = np.linspace(0, n - 1, min(n, max_windows)).astype(int)
-    idx = idx[np.diff(idx, prepend=-1) > 0]
-    t_s, c_s = at[idx], ac[idx]
-    lag = t_s[None, :] - t_s[:, None]
-    inc = c_s[None, :] - c_s[:, None]
-    upper = np.triu(np.ones_like(lag, dtype=bool), k=1)
-    env = eval_batch(alpha, np.maximum(lag, 0.0) + _EPS).reshape(lag.shape) + l_max
-    viol_w = upper & (inc > env + rtol * np.maximum(1.0, env))
+    # every window: A_j - A_i - r*(t_j - t_i) = u_j - u_i with u = A - r*t,
+    # so the worst window ending at j starts at the running minimum of u
+    u = ac - rates[:, None] * at
+    gain = u[:, 1:] - np.minimum.accumulate(u, axis=1)[:, :-1]
+    worst_w = float(np.max(gain - floors[:, None], initial=-np.inf))
 
-    worst_excess = float(np.max(np.concatenate([
-        (ac - env0), (inc - env)[upper].ravel() if upper.any() else np.array([-np.inf])
-    ])))
     violations: list[Violation] = [
         Violation("arrival.source", "source", float(at[i]), float(ac[i]),
                   float(env0[i]))
         for i in bad0[:4]
     ]
-    for i, j in zip(*np.nonzero(viol_w)):
-        if len(violations) >= 8:
-            break
-        violations.append(
-            Violation("arrival.source", "source", float(t_s[j]), float(inc[i, j]),
-                      float(env[i, j]))
-        )
-    # worst_observed reports the largest envelope excess (<= 0 when
-    # conformant); the "bound" column is the packet slack for context
+    # a window violates only by more than rtol * max(1, env) >= rtol
+    if worst_w > rtol:
+        for j in _violated_ends(at, ac, rates, floors, rtol)[: 8 - len(violations)]:
+            lag, inc = at[j] - at[:j], ac[j] - ac[:j]
+            env = eval_batch(alpha, lag + _EPS) + l_max
+            i = int(np.argmax(inc - env - rtol * np.maximum(1.0, env)))
+            if inc[i] > env[i] + rtol * max(1.0, env[i]):
+                violations.append(
+                    Violation("arrival.source", "source", float(at[j]),
+                              float(inc[i]), float(env[i]))
+                )
+    # worst_observed reports the largest envelope excess plus l_max (so
+    # <= l_max when conformant); the "bound" column is the packet slack
+    worst_excess = max(float(np.max(ac - env0)), worst_w)
     return CheckResult(
-        "arrival.source", "source", int(n + viol_w.size), worst_excess + l_max,
+        "arrival.source", "source", n + n * (n - 1) // 2, worst_excess + l_max,
         l_max, tuple(violations)
     )
+
+
+def _lines(alpha: Curve) -> tuple[np.ndarray, np.ndarray]:
+    """``(rates, bursts)`` with ``alpha(t) = min_k(rates[k]*t + bursts[k])``
+    for every ``t > 0``: the lines of ``alpha``'s pieces.
+
+    That holds when ``alpha`` is concave on ``t > 0`` (a jump at the
+    origin, the burst, is allowed); any other ``alpha`` raises
+    :class:`ValueError`, and so does a decreasing one.
+    """
+    without_jump = Curve(alpha.bx, alpha.sy[:1] + alpha.by[1:], alpha.sy, alpha.sl)
+    if not without_jump.is_concave() or alpha.final_slope < 0:
+        raise ValueError(
+            "the arrival check needs an alpha that is concave and "
+            "nondecreasing on t > 0"
+        )
+    rates = np.array(alpha.sl)
+    return rates, np.array(alpha.sy) - rates * np.array(alpha.bx)
+
+
+def _violated_ends(
+    at: np.ndarray,
+    ac: np.ndarray,
+    rates: np.ndarray,
+    floors: np.ndarray,
+    rtol: float,
+) -> np.ndarray:
+    """Every ``j`` at which some window ``t_i < t_j`` violates the rule
+    ``inc > env + rtol * max(1, env)``, in increasing order.
+
+    ``env`` is the minimum of the lines ``e(lag) = r*lag + floor``, so a
+    window violates iff it violates one line's rule.  Against one line
+    the rule is ``inc > (1 + rtol) * e`` over the windows where
+    ``e >= 1`` (``lag >= span``, a prefix of the starts), and
+    ``inc > e + rtol`` over the others; each is a difference ``x_j - x_i``
+    of one series, whose largest value is a running minimum over the
+    prefix, or a sliding one over the rest.
+    """
+    n = len(at)
+    ends = np.arange(n)
+    bad = np.zeros(n, dtype=bool)
+    for rate, floor in zip(rates.tolist(), floors.tolist()):
+        if floor >= 1.0:
+            span = 0.0
+        else:
+            span = (1.0 - floor) / rate if rate > 0 else math.inf
+        # the first start i whose window ending at j is shorter than span
+        cut = ends if span <= 0 else np.minimum(
+            np.searchsorted(at, at - span, side="right"), ends
+        )
+        w = ac - (1.0 + rtol) * rate * at
+        longest = np.minimum.accumulate(w)[cut - 1]  # cut == 0: no such window
+        bad |= (cut > 0) & (w - longest > (1.0 + rtol) * floor)
+        if span > 0:
+            v = ac - rate * at
+            bad |= v - _range_min(v, cut, ends) > floor + rtol
+    return np.nonzero(bad)[0]
+
+
+def _range_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``min(x[lo[j]:hi[j]])`` for every ``j``; ``inf`` where it is empty.
+
+    A sparse table: level ``m`` holds the minimum of every ``2**m``
+    consecutive entries, and a range of width ``w`` is the minimum of
+    two overlapping blocks of the largest ``2**m <= w``.
+    """
+    out = np.full(len(lo), np.inf)
+    width = hi - lo
+    table, size = x, 1
+    while size <= width.max(initial=0):
+        sel = np.nonzero((width >= size) & (width < 2 * size))[0]
+        out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - size])
+        table = np.minimum(table[:-size], table[size:])
+        size *= 2
+    return out
 
 
 def check_backlog(

@@ -15,8 +15,9 @@ import pytest
 
 from repro.apps.blast import blast_pipeline
 from repro.cluster import ClusterConfig, ClusterThread
-from repro.cluster.supervisor import BACKOFF_BASE_S, BACKOFF_CAP_S, ShardSupervisor
+from repro.cluster.supervisor import ShardSupervisor
 from repro.serve.client import ServeClient
+from repro.serve.engine import BACKOFF_BASE_S, BACKOFF_CAP_S
 from repro.streaming import pipeline_to_dict
 
 

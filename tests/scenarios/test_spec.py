@@ -148,53 +148,26 @@ class TestLoadScenario:
         assert "finite" in message
 
 
-class TestFallbackParser:
-    """The 3.10 subset parser must agree with tomllib where both run."""
-
-    def test_parity_with_tomllib(self, monkeypatch):
-        subset = _toml._parse_subset(VALID)
-        tomllib = _toml._stdlib_toml()
-        if tomllib is not None:
-            assert subset == tomllib.loads(VALID)
-
-    def test_loader_uses_fallback_when_tomllib_missing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_toml, "_stdlib_toml", lambda: None)
-        spec = load_scenario(_load(tmp_path, VALID))
-        assert spec.name == "toml-roundtrip"
-        assert spec.expect.throughput_lower_bound == 100e6
+class TestTomlErrors:
+    """Every malformed input is one ``TomlError`` that names its line."""
 
     @pytest.mark.parametrize(
-        "text, needle",
+        "text, line",
         [
-            ("just words", "key = value"),
-            ("[table\nx = 1", "unterminated table"),
-            ("x = ", "missing value"),
-            ("x = nope", "cannot parse"),
-            ("x = 1\nx = 2", "duplicate key"),
-            ('x = "open', "unterminated string"),
-            ("x = [1, 2", "unterminated array"),
+            ("just words", 1),
+            ("[table\nx = 1", 1),
+            ("x = ", 1),
+            ("a = 1\nb = nope", 2),
+            ("x = 1\nx = 2", 2),
+            ('a = 1\n\nx = "open', 3),
+            ("x = [1,\n2", 2),
         ],
     )
-    def test_fallback_errors_carry_line_numbers(self, text, needle, monkeypatch):
-        monkeypatch.setattr(_toml, "_stdlib_toml", lambda: None)
+    def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(_toml.TomlError) as err:
             _toml.loads(text)
-        assert needle in str(err.value)
-        assert "line" in str(err.value)
-
-    def test_fallback_values(self, monkeypatch):
-        monkeypatch.setattr(_toml, "_stdlib_toml", lambda: None)
-        data = _toml.loads(
-            'a = 1_000\nb = -2.5e-3\nc = true\nd = "s # not comment"  # comment\n'
-            "e = [1, 2.0, [3]]\nf = { x = 1, y = { z = 2 } }\n"
-            "[t.nested]\nk = 1\n[[arr]]\nv = 1\n[[arr]]\nv = 2\n"
-        )
-        assert data["a"] == 1000 and data["b"] == -2.5e-3 and data["c"] is True
-        assert data["d"] == "s # not comment"
-        assert data["e"] == [1, 2.0, [3]]
-        assert data["f"] == {"x": 1, "y": {"z": 2}}
-        assert data["t"]["nested"]["k"] == 1
-        assert [e["v"] for e in data["arr"]] == [1, 2]
+        assert f"line {line}" in str(err.value)
+        assert isinstance(err.value, ValueError)
 
 
 class TestDataclasses:

@@ -2,8 +2,10 @@
 new worker, not the shard: the call it was running reruns on another
 worker, and a call whose rerun dies too gets an error naming the death.
 A call slower than the request timeout is answered 408 while the engine
-goes on answering.  Workers die with their engine: a SIGKILLed server
-or shard leaves no worker behind.
+goes on answering.  A worker that dies before its first answer is
+restarted after a backoff, so one that cannot boot costs a bounded
+number of process starts.  Workers die with their engine: a SIGKILLed
+server or shard leaves no worker behind.
 
 The in-process server forks its workers (the default start method); a
 cluster shard spawns them, so the cluster cases run the spawned path.
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import _worker
 from repro.apps.blast import blast_pipeline
 from repro.cluster import ClusterConfig, ClusterThread
 from repro.serve import ServeClient, ServeConfig, ServerThread
@@ -141,6 +144,59 @@ def test_slow_evaluation_is_408_and_the_engine_keeps_answering(monkeypatch):
             after = c.analyze(MODEL, params={"scale:network": 2.0})
     assert slow["status"] == 408 and slow["error"]["code"] == "timeout"
     assert after["ok"], after
+
+
+def _dying_at_boot(monkeypatch, deaths):
+    """Patch the worker body so that the first ``deaths`` workers exit
+    before reading their first call (``None``: every worker does)."""
+    boots = multiprocessing.Value("i", 0)
+    real_main = _worker.main
+
+    def main(sock, inherited=()):
+        with boots.get_lock():
+            boots.value += 1
+            n = boots.value
+        if deaths is None or n <= deaths:
+            os._exit(1)
+        real_main(sock, inherited)
+
+    monkeypatch.setattr(_worker, "main", main)
+    return boots
+
+
+@fork_only
+def test_worker_dying_at_boot_is_restarted_after_a_backoff(monkeypatch):
+    boots = _dying_at_boot(monkeypatch, deaths=3)
+    with ServerThread(ServeConfig(port=0, workers=1, calibrate=0)) as srv:
+        with ServeClient(srv.host, srv.port) as c:
+            t0 = time.monotonic()
+            answer = c.analyze(MODEL)  # waits until the fourth worker boots
+            waited = time.monotonic() - t0
+            assert answer["ok"], answer
+            assert _restarts(c) == 3 and boots.value == 4
+            # a worker that has answered is replaced at once, with no backoff
+            (worker,) = srv.app.engine._workers
+            os.kill(worker.process.pid, signal.SIGKILL)
+            assert c.analyze(MODEL, params={"scale:network": 2.0})["ok"]
+            assert _restarts(c) == 4
+    # three waits of U(0, 0.25), U(0, 0.5) and U(0, 1) s at most
+    assert waited < 1.75 + 1.0
+
+
+@fork_only
+def test_worker_that_cannot_boot_is_restarted_a_bounded_number_of_times(monkeypatch):
+    _dying_at_boot(monkeypatch, deaths=None)
+    with ServerThread(ServeConfig(port=0, workers=2, calibrate=0)) as srv:
+        with ServeClient(srv.host, srv.port) as c:
+            time.sleep(2.0)
+            restarts = _restarts(c)
+        t0 = time.monotonic()
+        srv.stop(timeout=30)
+        drain_s = time.monotonic() - t0
+    # without a backoff each slot restarts hundreds of times in 2 s; with
+    # it the waits grow to U(0, 8) s.  The drain cuts a wait short.
+    assert 2 <= restarts <= 24, restarts
+    assert drain_s < 1.0, drain_s
 
 
 @linux_only

@@ -145,7 +145,7 @@ class TestResultCache:
             check=True, timeout=120, capture_output=True, text=True,
         ).stdout
         assert out == "repro 1.0.0\n"
-        assert f"repro-{repro.__version__}-schema-{CACHE_SCHEMA_VERSION}" == "repro-1.0.0-schema-3"
+        assert f"repro-{repro.__version__}-schema-{CACHE_SCHEMA_VERSION}" == "repro-1.0.0-schema-4"
 
 
 class TestStatsAndPrune:
