@@ -1,12 +1,18 @@
 """Shard processes: one :class:`AnalysisServer` per OS process.
 
 A shard is the full single-node serving stack — asyncio loop, worker
-pool, result cache, admission — run under the *spawn*
-start method (fork is unsafe once any thread exists, and the pytest
-harness is threaded).  :class:`ShardProcess` is the supervisor-side
-handle: it launches the process, waits for the shard to report its
-ephemeral ``(host, port)`` over a pipe, and exposes the two ways a
-shard leaves the cluster:
+pool, result cache, admission — run under the *spawn* start method
+(fork is unsafe once any thread exists, and the pytest harness is
+threaded).  The shard itself is single-threaded, and by the time its
+engine starts a worker it has imported the whole serving and evaluation
+path, so it *forks* its workers: each starts with every module loaded,
+where a spawned one would import them again (DESIGN §18).  A shard
+drains, as on SIGTERM, when the process that started it dies, however
+it dies: it watches that process's sentinel on its event loop.
+
+:class:`ShardProcess` is the supervisor-side handle: it launches the
+process, waits for the shard to report its ephemeral ``(host, port)``
+over a pipe, and exposes the two ways a shard leaves the cluster:
 
 * :meth:`terminate` — SIGTERM, the graceful path: the shard drains
   (answers in-flight work, stops its pool) and exits 0 iff lossless;
@@ -24,6 +30,8 @@ router's ring.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import multiprocessing
 import sys
 from typing import Any
@@ -39,13 +47,26 @@ _mp = multiprocessing.get_context("spawn")
 
 def _shard_main(config: ServeConfig, conn: Any) -> None:
     """Shard process body (module-level so spawn can pickle it)."""
-    from ..serve.server import run
+    from ..serve.server import AnalysisServer
+    from ..serve.service import run_service
+
+    # for the engine's workers; a shard runs one thread, so forking is safe
+    multiprocessing.set_start_method("fork", force=True)
+    server = AnalysisServer(config)
+    # readable at end-of-file, once the process that started the shard is gone
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def orphaned() -> None:
+        asyncio.get_running_loop().remove_reader(sentinel)
+        server.request_shutdown()
 
     def report(host: str, port: int) -> None:
-        conn.send((host, port))
+        asyncio.get_running_loop().add_reader(sentinel, orphaned)
+        with contextlib.suppress(OSError):  # no one to report to: orphaned() drains
+            conn.send((host, port))
         conn.close()
 
-    sys.exit(run(config, on_ready=report))
+    sys.exit(run_service(server, on_ready=report))
 
 
 class ShardProcess:

@@ -92,13 +92,14 @@ class CumulativeFlow:
     def __init__(self, t0: float = 0.0) -> None:
         self._times: list[float] = [t0]
         self._cum: list[float] = [0.0]
+        self._arrays: "tuple[np.ndarray, np.ndarray] | None" = None
 
     @classmethod
     def from_samples(cls, times: list[float], cum: list[float]) -> "CumulativeFlow":
         """A flow from recorded samples: strictly increasing times and
         their running totals (adopted as given, not copied or checked)."""
         flow = cls.__new__(cls)
-        flow._times, flow._cum = times, cum
+        flow._times, flow._cum, flow._arrays = times, cum, None
         return flow
 
     def add(self, t: float, nbytes: float) -> None:
@@ -107,6 +108,7 @@ class CumulativeFlow:
             raise ValueError("flow increments must be non-negative")
         if t < self._times[-1]:
             raise ValueError(f"time went backwards: {t} < {self._times[-1]}")
+        self._arrays = None
         if t == self._times[-1]:
             self._cum[-1] += nbytes
         else:
@@ -133,8 +135,13 @@ class CumulativeFlow:
         return (c1 - c0) / (t1 - t_start)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, cumulative_bytes)`` as NumPy arrays."""
-        return np.asarray(self._times), np.asarray(self._cum)
+        """``(times, cumulative_bytes)`` as read-only NumPy arrays, built
+        once and kept until the next :meth:`add`."""
+        if self._arrays is None:
+            times, cum = np.array(self._times), np.array(self._cum)
+            times.flags.writeable = cum.flags.writeable = False
+            self._arrays = times, cum
+        return self._arrays
 
 
 class DelayStats:

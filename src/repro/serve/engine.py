@@ -18,17 +18,23 @@ introspection bodies.
 
 Each worker is a process of the engine's own, joined to the host's
 event loop by one socket pair (:mod:`repro._worker` holds its body and
-the framing).  A call writes one pickled message to an idle worker and
-awaits the answer that the worker's reader passes back, so it crosses no
-helper thread, and the loop never blocks on a worker.  A worker that
-dies fails only the call it was running.  The engine starts a new
-worker in its place (counted in ``serve.pool_restarts``) and reruns the
-call once on another worker; a call whose rerun dies too is answered
-500 ``worker_died``.  A new worker gets calls only once it says it has
-booted.  One that dies before that may be unable to boot at all, so its
-slot waits a full-jitter backoff (:func:`backoff_delay`, the shard
-supervisor's rule) before the next start, longer after each such death
-in a row; a call waiting for a worker meanwhile is charged nothing.
+the framing).  Workers start by the process's default start method:
+``repro serve`` keeps the platform's (fork on Linux), and a cluster
+shard forks them (:mod:`repro.cluster.shards`).  A forked worker starts
+with every module its engine has loaded, and first drops what it
+inherited of the engine's process: its signal handlers, its listener
+and its connections.  A call writes one pickled message to an idle
+worker and awaits the answer that the worker's reader passes back, so
+it crosses no helper thread, and the loop never blocks on a worker.  A
+worker that dies fails only the call it was running.  The engine starts
+a new worker in its place (counted in ``serve.pool_restarts``) and
+reruns the call once on another worker; a call whose rerun dies too is
+answered 500 ``worker_died``.  A new worker gets calls only once it
+says it has booted.  One that dies before that may be unable to boot at
+all, so its slot waits a full-jitter backoff (:func:`backoff_delay`,
+the shard supervisor's rule) before the next start, longer after each
+such death in a row; a call waiting for a worker meanwhile is charged
+nothing.
 """
 
 from __future__ import annotations
@@ -175,14 +181,11 @@ class AnalysisEngine:
         self._build_admission()
 
     def _spawn(self) -> _Worker:
-        """Start one worker process, by the default start method."""
+        """Start one worker process, by the process's default start method."""
         ours, theirs = socket.socketpair()
-        # a forked worker gets a copy of every engine end open now
-        forks = multiprocessing.get_start_method() == "fork"
-        inherited = (*(w.sock for w in self._workers), ours) if forks else ()
         process = multiprocessing.Process(
             target=_worker.main,
-            args=(theirs, inherited),
+            args=(theirs,),
             name=f"repro-{self.config.name}-worker",
             daemon=True,
         )

@@ -167,11 +167,13 @@ class ConformanceReport:
     def summary(self) -> str:
         """Human-readable verdict table plus every violation message."""
         kind = "estimates (transient regime)" if self.bounds_are_estimates else "bounds"
+        # as wide as the widest count: arrival.source counts every window
+        n_width = max([6, *(len(str(c.n_observations)) for c in self.checks)])
         lines = [
             f"== conformance: {self.pipeline_name} ==",
             f"model {kind}; {len(self.checks)} checks, "
             f"{len(self.violations)} violation(s)",
-            f"{'check':<26} {'n':>6} {'worst':>12} {'bound':>12} "
+            f"{'check':<26} {'n':>{n_width}} {'worst':>12} {'bound':>12} "
             f"{'margin':>8}  verdict",
         ]
         for c in self.checks:
@@ -182,7 +184,7 @@ class ConformanceReport:
             margin = "-" if math.isnan(c.margin) else f"{c.margin:7.1%}"
             verdict = "ok" if c.ok else f"FAIL({len(c.violations)})"
             lines.append(
-                f"{c.name:<26} {c.n_observations:>6} {worst:>12} {bound:>12} "
+                f"{c.name:<26} {c.n_observations:>{n_width}} {worst:>12} {bound:>12} "
                 f"{margin:>8}  {verdict}"
             )
         for v in self.violations:

@@ -88,6 +88,29 @@ class TestCumulativeFlow:
         assert np.all(np.diff(cs) >= 0)
         assert cs[-1] == 10.0
 
+    def test_arrays_are_built_once_read_only_until_the_next_add(self):
+        f = CumulativeFlow()
+        f.add(1.0, 2.0)
+        ts, cs = f.arrays()
+        again = f.arrays()
+        assert again[0] is ts and again[1] is cs
+        assert not ts.flags.writeable and not cs.flags.writeable
+        with pytest.raises(ValueError):
+            cs[-1] = 0.0
+        f.add(2.0, 3.0)
+        ts2, cs2 = f.arrays()
+        assert ts2.tolist() == [0.0, 1.0, 2.0] and cs2.tolist() == [0.0, 2.0, 5.0]
+        assert ts.tolist() == [0.0, 1.0] and cs.tolist() == [0.0, 2.0]
+        f.add(2.0, 1.0)  # merges into the last step
+        assert f.arrays()[1].tolist() == [0.0, 2.0, 6.0]
+
+    def test_arrays_of_a_flow_from_samples(self):
+        f = CumulativeFlow.from_samples([0.0, 1.0], [0.0, 4.0])
+        ts, cs = f.arrays()
+        assert f.arrays()[0] is ts
+        assert ts.tolist() == [0.0, 1.0] and cs.tolist() == [0.0, 4.0]
+        assert not cs.flags.writeable
+
 
 class TestDelayStats:
     def test_stats(self):

@@ -5,16 +5,24 @@ A call slower than the request timeout is answered 408 while the engine
 goes on answering.  A worker that dies before its first answer is
 restarted after a backoff, so one that cannot boot costs a bounded
 number of process starts.  Workers die with their engine: a SIGKILLed
-server or shard leaves no worker behind.
+server or shard leaves no worker behind, and a SIGKILLed cluster
+router leaves no shard either.
 
-The in-process server forks its workers (the default start method); a
-cluster shard spawns them, so the cluster cases run the spawned path.
+The in-process server forks its workers (the default start method on
+Linux), and so does a cluster shard, a spawned process that sets its
+own start method.  A forked worker starts clean: one that replaces a
+dead worker after the listener has bound holds no client connection
+and takes its own SIGTERM.  The spawn path is checked in
+``tests/test_import_layering.py``.
 """
 
 import contextlib
+import json
 import multiprocessing
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -27,10 +35,10 @@ from repro.apps.blast import blast_pipeline
 from repro.cluster import ClusterConfig, ClusterThread
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.serve import engine as engine_mod
-from repro.serve.protocol import evaluation_options
+from repro.serve.protocol import MAX_LINE_BYTES, evaluation_options
 from repro.streaming import pipeline_to_dict
 from repro.sweep.cache import point_key
-from repro.sweep.runner import evaluate_point
+from repro.sweep.runner import evaluate_point, point_seed
 
 MODEL = pipeline_to_dict(blast_pipeline())
 #: the params whose evaluation kills its worker, every time
@@ -106,6 +114,46 @@ def _kill_all(pids):
             os.kill(pid, signal.SIGKILL)
 
 
+def _tree(pid):
+    """The pids of ``pid``'s descendants."""
+    kids = _children(pid)
+    return [p for kid in kids for p in (kid, *_tree(kid))]
+
+
+@contextlib.contextmanager
+def _repro(*args):
+    """A ``repro`` command in a subprocess, once it prints that it is
+    listening: yields the process and the port it listens on."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        for line in proc.stdout:
+            listening = re.search(r"\[(serve|router)\] listening on [\d.]+:(\d+)", line)
+            if listening:
+                break
+        else:
+            raise AssertionError(f"repro {' '.join(args)} exited before listening")
+        yield proc, int(listening.group(2))
+    finally:
+        proc.kill()
+        proc.wait(30)
+        proc.stdout.close()
+
+
+def _replace_the_worker(server, port):
+    """SIGKILL the one worker of ``server``, a ``repro serve`` that is
+    listening, and return the pid of the worker that replaced it."""
+    (first,) = _still_running(_children(server.pid), within_s=0.0)
+    os.kill(first, signal.SIGKILL)
+    with ServeClient("127.0.0.1", port) as c:
+        assert c.analyze(MODEL)["ok"]
+        assert _restarts(c) == 1
+    (worker,) = _still_running(_children(server.pid), within_s=0.0)
+    return worker
+
+
 @fork_only
 def test_sigkilled_worker_is_replaced_and_the_next_requests_answer():
     with ServerThread(ServeConfig(port=0, workers=1, calibrate=0)) as srv:
@@ -152,13 +200,13 @@ def _dying_at_boot(monkeypatch, deaths):
     boots = multiprocessing.Value("i", 0)
     real_main = _worker.main
 
-    def main(sock, inherited=()):
+    def main(sock):
         with boots.get_lock():
             boots.value += 1
             n = boots.value
         if deaths is None or n <= deaths:
             os._exit(1)
-        real_main(sock, inherited)
+        real_main(sock)
 
     monkeypatch.setattr(_worker, "main", main)
     return boots
@@ -223,28 +271,119 @@ def test_sigkilled_shard_worker_is_replaced_and_the_shard_answers(tmp_path):
 
 
 @linux_only
-def test_workers_of_a_sigkilled_server_exit():
-    server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--calibrate", "0"],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+def test_a_shard_forks_its_worker_and_it_answers_as_in_process(tmp_path):
+    config = ClusterConfig(
+        shards=1, workers_per_shard=1, calibrate=0,
+        cache_dir=str(tmp_path / "cache"), supervise=False,
     )
+    params = {"scale:network": 3.0}
+    with ClusterThread(config) as cluster:
+        (shard,) = cluster.shards
+        (worker,) = _children(shard.pid)
+        # a forked process keeps its parent's command line; a spawned
+        # one runs spawn_main with a pipe of its own
+        cmdline = Path(f"/proc/{shard.pid}/cmdline").read_bytes()
+        assert b"spawn_main" in cmdline
+        assert Path(f"/proc/{worker}/cmdline").read_bytes() == cmdline
+        with ServeClient(cluster.host, cluster.port) as c:
+            answer = c.analyze(MODEL, params=params)
+    assert answer["ok"] and not answer["result"]["cached"], answer
+    options = evaluation_options({}, op="analyze")
+    want = evaluate_point(MODEL, params, options, point_seed(42, params))
+    got = {k: answer["result"][k] for k in want if k != "elapsed"}
+    assert got == json.loads(json.dumps({k: v for k, v in want.items() if k != "elapsed"}))
+
+
+@linux_only
+def test_a_connection_the_server_closes_is_closed_after_a_worker_restart():
+    with _repro("serve", "--port", "0", "--workers", "1", "--calibrate", "0") as (
+        server, port,
+    ):
+        # open while the new worker starts, so a fork holds a copy of it
+        with socket.create_connection(("127.0.0.1", port), timeout=3.0) as sock:
+            _replace_the_worker(server, port)
+            # the server reads every byte, answers 413 and closes
+            sock.sendall(b"x" * (MAX_LINE_BYTES + 1))
+            received = b""
+            while chunk := sock.recv(65536):  # times out if no end-of-file
+                received += chunk
+    assert json.loads(received)["error"]["code"] == "too_large"
+
+
+@linux_only
+def test_sigterm_to_a_restarted_worker_replaces_that_worker_alone():
+    with _repro("serve", "--port", "0", "--workers", "1", "--calibrate", "0") as (
+        server, port,
+    ):
+        worker = _replace_the_worker(server, port)
+        os.kill(worker, signal.SIGTERM)
+        assert _still_running([worker], within_s=5.0) == []
+        with ServeClient("127.0.0.1", port) as c:
+            assert c.analyze(MODEL, params={"scale:network": 2.0})["ok"]
+            assert _restarts(c) == 2
+        assert server.poll() is None
+
+
+@linux_only
+def test_workers_of_a_sigkilled_server_exit():
     workers = []
     try:
-        line = ""
-        for line in server.stdout:
-            if "listening" in line:
-                break
-        workers = _children(server.pid)
-        assert len(workers) == 2, line
-        server.kill()
-        server.wait(30)
-        assert _still_running(workers, within_s=5.0) == []
+        with _repro("serve", "--port", "0", "--workers", "2", "--calibrate", "0") as (
+            server, _port,
+        ):
+            workers = _children(server.pid)
+            assert len(workers) == 2
+            server.kill()
+            server.wait(30)
+            assert _still_running(workers, within_s=5.0) == []
     finally:
-        server.kill()
-        server.wait(30)
-        server.stdout.close()
         _kill_all(workers)
+
+
+@linux_only
+def test_every_process_of_a_sigkilled_cluster_exits(tmp_path):
+    tree = []
+    try:
+        with _repro(
+            "cluster", "start", "--port", "0", "--shards", "2", "--calibrate", "0",
+            "--cache-dir", str(tmp_path / "cache"),
+        ) as (router, _port):
+            tree = _tree(router.pid)
+            # two shards, a worker each, and multiprocessing's resource tracker
+            assert len(tree) == 5, tree
+            router.kill()
+            router.wait(30)
+            assert _still_running(tree, within_s=15.0) == []
+    finally:
+        _kill_all(tree)
+
+
+@linux_only
+def test_shards_whose_router_dies_before_they_report_exit_cleanly(tmp_path):
+    # a long calibration keeps the shards from reporting for a second or two
+    router = subprocess.Popen(
+        [sys.executable, "-m", "repro", "cluster", "start", "--port", "0",
+         "--shards", "2", "--calibrate", "2000", "--cache-dir", str(tmp_path / "cache")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    tree = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(tree) < 5 and time.monotonic() < deadline:
+            tree = _tree(router.pid)
+            time.sleep(0.01)
+        assert len(tree) == 5, tree  # both shards started their workers
+        router.kill()
+        router.wait(30)
+        assert _still_running(tree, within_s=15.0) == []
+        output = router.stdout.read()
+    finally:
+        router.kill()
+        router.wait(30)
+        router.stdout.close()
+        _kill_all(tree)
+    assert "Traceback" not in output, output
+    assert output.count("drained (clean)") == 2, output
 
 
 @linux_only

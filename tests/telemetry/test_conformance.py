@@ -14,6 +14,7 @@ from repro.telemetry import (
     run_conformance,
     valid_bounds,
 )
+from repro.telemetry.conformance import CheckResult, ConformanceReport
 from repro.units import KiB, MiB
 
 
@@ -116,6 +117,23 @@ class TestViolationsLocated:
         assert not report.ok
         text = report.summary()
         assert "verdict: FAIL" in text and "VIOLATION" in text
+
+    def test_summary_columns_line_up_whatever_the_counts(self):
+        checks = (
+            CheckResult("delay.end_to_end", "system", 7, 1e-3, 2e-3),
+            CheckResult("arrival.source", "source", 134_209_536, 3.0 * MiB, 4.0 * MiB),
+            CheckResult("backlog.system", "system", 512, 1.0 * MiB, 4.0 * MiB),
+        )
+        lines = ConformanceReport("unit", False, checks).summary().splitlines()
+        header, rows = lines[2], lines[3:6]
+        # each right-aligned column ends where its header does, and the
+        # verdicts start under theirs
+        ends = [header.index(name) + len(name) for name in ("n", "worst", "bound", "margin")]
+        for row in rows:
+            assert [row[end - 1] != " " and row[end] == " " for end in ends] == [True] * 4, row
+            assert row.rindex("  ") == header.index("verdict") - 2, row
+        assert "134209536" in rows[1]
+        assert lines[6:] == ["verdict: PASS"]
 
     def test_to_dict_counts_violations(self, checked):
         pipe, sim, _log, _delay, _backlog, alpha, _est = checked

@@ -4,8 +4,9 @@ Every check starts a fresh interpreter, as a user's process starts.  The
 batch entry modules with an NC-only sweep point, and the serving
 processes, load neither NumPy nor the DES, the figures or ``tomllib``.
 A simulated point loads them when it runs, and answers as it does in a
-process that had them from the start.  A spawned engine worker, as a
-cluster shard starts them, loads nothing of the serving stack.
+process that had them from the start.  A spawned engine worker, as
+``repro serve`` starts them where spawn is the platform's default start
+method, loads nothing of the serving stack.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ print(json.dumps({{"new": new, "heavy": heavy, "nc": nc, "sim": sim}}))
 """
 
 
-#: a shard's engine with one spawned worker (a shard's own start method),
-#: run from a ``-c`` main as a shard is; after one NC-only call the
-#: worker reports what it has imported
+#: an engine with one spawned worker, run from a ``-c`` main; after one
+#: NC-only call the worker reports what it has imported
 SPAWNED_WORKER = f"""
 import asyncio, json, multiprocessing
 from repro.apps.blast import blast_pipeline
