@@ -1,27 +1,31 @@
-"""The body of an analysis engine's worker process.
+"""How a worker process is started, fed, answered and stopped.
 
-An engine (:mod:`repro.serve.engine`) joins each of its worker
-processes to its event loop by one socket pair.  Every message, either
-way, is a pickle behind an 8-byte big-endian length.  A worker first
-sends an empty message, which says it has booted; the engine sends it
-no call before that.  The engine sends ``(function, args)``; the worker
-calls ``function(*args)`` and answers ``(True, result)``, or
-``(False, exception)`` when the call raised.
-``None`` asks the worker to exit, and so does end-of-file: the engine's
-end of the socket closes when the engine's process dies, however it
-dies, so a worker never outlives its engine by more than the call it is
-running.
+An analysis engine (:mod:`repro.serve.engine`) runs its calls on
+workers from its event loop, and a parallel sweep
+(:func:`repro.sweep.runner.evaluate_points`) through :func:`run_batch`;
+:func:`start` starts a worker for either, joined to its caller by one
+socket pair.  Every message, either way, is a pickle behind an 8-byte
+big-endian length.  A worker first sends an empty message, which says
+it has booted; its caller sends it nothing before that.  The caller
+sends ``(function, [args, ...])``, one call from an engine and a chunk
+of points from a sweep; the worker calls ``function(*args)`` for each
+``args`` in order and answers each call as soon as it returns:
+``(True, result)``, or ``(False, exception)`` when it raised.  So the
+first call of a message with no answer is the one a dead worker was
+running.  ``None`` asks the worker to exit, and so does end-of-file:
+the caller's end closes when the caller's process dies, however it
+dies, so a worker never outlives its caller by more than one call.
 
-A worker starts clean, however it was started.  A forked worker (those
-of ``repro serve`` on Linux and of every cluster shard) begins as a copy
-of its engine's process: the shell's signal handlers, its event loop's
-wake-up socket, and a copy of every descriptor open at the fork,
-among them the listener, each client connection and the engine's ends
+A worker starts clean, however it was started.  A forked worker (on
+Linux, those of ``repro serve``, of a sweep and of every cluster shard)
+begins as a copy of its caller's process: a server's signal handlers,
+its event loop's wake-up socket, and every descriptor open at the fork,
+among them the listener, each client connection and the caller's ends
 of the other workers' sockets.  So :func:`main` first restores the
 default SIGTERM and SIGINT handlers, drops the wake-up descriptor and
 closes every descriptor but its own socket and stdio.  Otherwise a
-signal sent to the worker would drain its whole server, and a
-connection the server closes would stay open in the worker.
+signal sent to the worker would drain its whole server, and a socket
+the caller closes would stay open in the worker.
 
 This module imports nothing of :mod:`repro.serve`, so a spawned worker
 loads only what its calls need: an ``evaluate_point`` call imports
@@ -31,14 +35,17 @@ serving stack (asyncio, the client, the engine) is ever loaded.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
 import socket
 import struct
-from typing import Any
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Callable, Sequence
 
-__all__ = ["HEADER", "frame", "main"]
+__all__ = ["HEADER", "STOP", "WorkerDied", "frame", "main", "run_batch", "start"]
 
 #: the length prefix of every message
 HEADER = struct.Struct("!Q")
@@ -50,9 +57,41 @@ def frame(obj: Any) -> bytes:
     return HEADER.pack(len(body)) + body
 
 
+#: the message that asks a worker to exit
+STOP = frame(None)
+
+
+class WorkerDied(Exception):
+    """A worker process died while it was running a call."""
+
+    @classmethod
+    def of(cls, process: multiprocessing.process.BaseProcess) -> "WorkerDied":
+        """The death of ``process``, named by its pid and exit code."""
+        return cls(f"worker pid {process.pid} is gone (exit code {process.exitcode})")
+
+
+def start(name: str) -> tuple[multiprocessing.process.BaseProcess, socket.socket]:
+    """Start one worker process, by the process's default start method.
+
+    Returns the process and the caller's end of its socket.
+    """
+    ours, theirs = socket.socketpair()
+    process = multiprocessing.Process(
+        target=main, args=(theirs,), name=name, daemon=True
+    )
+    try:
+        process.start()
+    except BaseException:
+        ours.close()
+        raise
+    finally:
+        theirs.close()
+    return process, ours
+
+
 def _start_clean(keep: int) -> None:
-    """Drop what a forked worker inherited of its engine's process: the
-    shell's signal handlers, the wake-up descriptor, and every
+    """Drop what a forked worker inherited of its caller's process: a
+    server's signal handlers, the wake-up descriptor, and every
     descriptor but stdio and ``keep``."""
     # the two signals the serving shell takes; its handlers only wake
     # the shell's loop, through the wake-up descriptor
@@ -72,16 +111,138 @@ def main(sock: socket.socket) -> None:
             while True:
                 header = stream.read(HEADER.size)
                 if len(header) < HEADER.size:
-                    return  # end-of-file: the engine closed its end or died
+                    return  # end-of-file: the caller closed its end or died
                 body = stream.read(HEADER.unpack(header)[0])
                 try:
-                    call = pickle.loads(body)
-                    if call is None:
-                        return
-                    function, args = call
-                    reply = frame((True, function(*args)))
-                except Exception as exc:  # noqa: BLE001 - the engine re-raises it
-                    reply = frame((False, exc))
-                sock.sendall(reply)
+                    message = pickle.loads(body)
+                except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+                    sock.sendall(frame((False, exc)))
+                    continue
+                if message is None:
+                    return
+                function, calls = message
+                for args in calls:
+                    try:
+                        reply = frame((True, function(*args)))
+                    except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+                        reply = frame((False, exc))
+                    sock.sendall(reply)
         except OSError:
-            return  # the engine's end broke mid-message: it is gone
+            return  # the caller's end broke mid-message: it is gone
+
+
+@dataclass(eq=False)
+class _BatchWorker:
+    """A batch's worker: the bytes read of its next answers, and the
+    calls of its message that have no answer yet (none while idle)."""
+
+    process: multiprocessing.process.BaseProcess
+    sock: socket.socket
+    buffer: bytes = b""
+    booted: bool = False
+    calls: deque[int] = field(default_factory=deque)
+
+
+def run_batch(
+    function: Callable[..., Any],
+    calls: Sequence[tuple[Any, ...]],
+    chunk: int,
+    workers: int,
+) -> dict[int, tuple[bool, Any]]:
+    """``function(*calls[i])`` for every ``i``, on ``workers`` new workers.
+
+    Each idle worker gets the next ``chunk`` calls in one message.
+    Returns each call's answer by its index: ``(True, result)``,
+    ``(False, exception)`` when it raised, or ``(False, WorkerDied)`` for
+    the call a worker died running, which runs nowhere else.  The rest of
+    a dead worker's message goes back to the queue, and a new worker
+    takes its place.  A worker that dies before it boots is not
+    replaced, nor is one that answers an exception (it may be unable to
+    read its messages), so a call has no answer when no worker is left
+    to run it.  Every worker has exited when this returns.
+    """
+    import selectors
+
+    queue = deque(
+        range(first, min(first + chunk, len(calls)))
+        for first in range(0, len(calls), chunk)
+    )
+    answers: dict[int, tuple[bool, Any]] = {}
+    selector = selectors.DefaultSelector()
+    live: list[_BatchWorker] = []
+
+    def launch() -> None:
+        try:
+            worker = _BatchWorker(*start("repro-batch-worker"))
+        except OSError:  # out of processes or memory: the others go on
+            return
+        live.append(worker)
+        selector.register(worker.sock, selectors.EVENT_READ, worker)
+
+    def stop(worker: _BatchWorker) -> None:
+        worker.sock.close()  # an idle worker exits at end-of-file
+        if worker.calls:  # no one will read its answers
+            worker.process.kill()
+        worker.process.join()
+
+    def drop(worker: _BatchWorker, *, replace: bool) -> None:
+        live.remove(worker)
+        selector.unregister(worker.sock)
+        stop(worker)
+        if worker.calls:
+            queue.appendleft(worker.calls)
+        if replace:
+            launch()
+
+    def feed(worker: _BatchWorker) -> None:
+        message = queue.popleft()
+        try:
+            worker.sock.sendall(frame((function, [calls[i] for i in message])))
+        except OSError:  # it died idle: its end-of-file replaces it
+            queue.appendleft(message)
+        else:
+            worker.calls = deque(message)
+
+    def read(worker: _BatchWorker) -> None:
+        try:
+            data = worker.sock.recv(1 << 16)
+        except OSError:
+            data = b""
+        if not data:  # the worker is gone
+            if worker.calls:
+                answers[worker.calls.popleft()] = (False, WorkerDied.of(worker.process))
+            drop(worker, replace=worker.booted)
+            return
+        buffer = worker.buffer + data
+        at = 0
+        while len(buffer) - at >= HEADER.size:
+            end = at + HEADER.size + HEADER.unpack_from(buffer, at)[0]
+            if len(buffer) < end:
+                break
+            body = memoryview(buffer)[at + HEADER.size:end]
+            at = end
+            if worker.booted:
+                i = worker.calls.popleft()
+                try:
+                    answers[i] = pickle.loads(body)
+                except Exception as exc:  # noqa: BLE001 - answered as raised
+                    answers[i] = (False, exc)
+                if not answers[i][0]:
+                    drop(worker, replace=False)
+                    return
+            worker.booted = True
+            if not worker.calls and queue:
+                feed(worker)
+        worker.buffer = buffer[at:]
+
+    try:
+        for _ in range(workers):
+            launch()
+        while live and (queue or any(worker.calls for worker in live)):
+            for key, _ in selector.select():
+                read(key.data)
+        return answers
+    finally:
+        for worker in live:
+            stop(worker)
+        selector.close()

@@ -8,7 +8,9 @@ engine starts a worker it has imported the whole serving and evaluation
 path, so it *forks* its workers: each starts with every module loaded,
 where a spawned one would import them again (DESIGN §18).  A shard
 drains, as on SIGTERM, when the process that started it dies, however
-it dies: it watches that process's sentinel on its event loop.
+it dies: it watches that process's sentinel on its event loop.  Its
+body lives in :mod:`repro.serve.server`, so that a spawned shard
+imports nothing of :mod:`repro.cluster` to find it.
 
 :class:`ShardProcess` is the supervisor-side handle: it launches the
 process, waits for the shard to report its ephemeral ``(host, port)``
@@ -30,43 +32,16 @@ router's ring.
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import multiprocessing
-import sys
-from typing import Any
 
 from ..serve.engine import ServeConfig
+from ..serve.server import _shard_main
 
 __all__ = ["ShardProcess"]
 
 # spawn, not fork: shards start from a clean interpreter regardless of
 # what threads the launching process (pytest, the CLI) already runs
 _mp = multiprocessing.get_context("spawn")
-
-
-def _shard_main(config: ServeConfig, conn: Any) -> None:
-    """Shard process body (module-level so spawn can pickle it)."""
-    from ..serve.server import AnalysisServer
-    from ..serve.service import run_service
-
-    # for the engine's workers; a shard runs one thread, so forking is safe
-    multiprocessing.set_start_method("fork", force=True)
-    server = AnalysisServer(config)
-    # readable at end-of-file, once the process that started the shard is gone
-    sentinel = multiprocessing.parent_process().sentinel
-
-    def orphaned() -> None:
-        asyncio.get_running_loop().remove_reader(sentinel)
-        server.request_shutdown()
-
-    def report(host: str, port: int) -> None:
-        asyncio.get_running_loop().add_reader(sentinel, orphaned)
-        with contextlib.suppress(OSError):  # no one to report to: orphaned() drains
-            conn.send((host, port))
-        conn.close()
-
-    sys.exit(run_service(server, on_ready=report))
 
 
 class ShardProcess:

@@ -4,10 +4,10 @@ Each scenario evaluates through the *sweep engine's* point loop
 (:func:`repro.sweep.runner.evaluate_points`) — a scenario is exactly a
 one-point sweep, so it inherits, unchanged: the content-addressed
 result cache (same :func:`~repro.sweep.cache.point_key` addressing),
-the per-point SHA-256 seed derivation, the process pool with its
-worker-death rule, the batched curve evaluation of the conformance
-replay (:func:`repro.nc.kernel.eval_batch`), and the graceful serial
-fallback.  Warm catalog runs are therefore pure cache reads.
+the per-point SHA-256 seed derivation, the worker processes with their
+death rule, the batched curve evaluation of the conformance replay
+(:func:`repro.nc.kernel.eval_batch`), and the graceful serial fallback.
+Warm catalog runs are therefore pure cache reads.
 
 On top of that this module adds the *judge*: every
 :class:`~repro.scenarios.spec.Expectations` field becomes a
@@ -295,11 +295,12 @@ def run_catalog(
 ) -> CatalogResult:
     """Evaluate and judge a list of scenarios.
 
-    ``jobs > 1`` evaluates cache misses on the sweep runner's process
-    pool, with its degradation ladder: a pool that cannot start leaves
-    everything to serial evaluation, and a worker that dies marks the
-    scenario it was running failed instead of rerunning it in-process.
-    Results keep the input order.
+    ``jobs > 1`` evaluates cache misses on the sweep runner's worker
+    processes (:func:`repro.sweep.runner.evaluate_points`): if no worker
+    boots, every scenario is evaluated serially, and a worker that dies
+    marks the scenario it was running failed, which then runs nowhere
+    else, in-process least of all; a new worker takes the rest of its
+    chunk.  Results keep the input order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -17,19 +17,21 @@ call per cache miss), and the ``/capacity`` and ``/stats``
 introspection bodies.
 
 Each worker is a process of the engine's own, joined to the host's
-event loop by one socket pair (:mod:`repro._worker` holds its body and
-the framing).  Workers start by the process's default start method:
+event loop by one socket pair.  :mod:`repro._worker` starts it and says
+how it is fed, answered and stopped; a parallel sweep runs its points
+on the same workers, a chunk per message, where the engine sends one
+call per message.  Workers start by the process's default start method:
 ``repro serve`` keeps the platform's (fork on Linux), and a cluster
-shard forks them (:mod:`repro.cluster.shards`).  A forked worker starts
-with every module its engine has loaded, and first drops what it
-inherited of the engine's process: its signal handlers, its listener
-and its connections.  A call writes one pickled message to an idle
-worker and awaits the answer that the worker's reader passes back, so
-it crosses no helper thread, and the loop never blocks on a worker.  A
-worker that dies fails only the call it was running.  The engine starts
-a new worker in its place (counted in ``serve.pool_restarts``) and
-reruns the call once on another worker; a call whose rerun dies too is
-answered 500 ``worker_died``.  A new worker gets calls only once it
+shard forks them (:func:`repro.serve.server._shard_main`).  A forked
+worker starts with every module its engine has loaded, and first drops
+what it inherited of the engine's process: its signal handlers, its
+listener and its connections.  A call writes one pickled message to an
+idle worker and awaits the answer that the worker's reader passes back,
+so it crosses no helper thread, and the loop never blocks on a worker.
+A worker that dies fails only the call it was running.  The engine
+starts a new worker in its place (counted in ``serve.pool_restarts``)
+and reruns the call once on another worker; a call whose rerun dies too
+is answered 500 ``worker_died``.  A new worker gets calls only once it
 says it has booted.  One that dies before that may be unable to boot at
 all, so its slot waits a full-jitter backoff (:func:`backoff_delay`,
 the shard supervisor's rule) before the next start, longer after each
@@ -114,14 +116,6 @@ def backoff_delay(attempt: int, rng: "random.Random | None" = None) -> float:
     return (rng or random).uniform(0.0, cap)
 
 
-class WorkerDied(Exception):
-    """A worker process died while it was running a call."""
-
-
-#: the message that asks a worker to exit
-_STOP = _worker.frame(None)
-
-
 class _Worker:
     """One worker process and the engine's end of its socket."""
 
@@ -181,22 +175,8 @@ class AnalysisEngine:
         self._build_admission()
 
     def _spawn(self) -> _Worker:
-        """Start one worker process, by the process's default start method."""
-        ours, theirs = socket.socketpair()
-        process = multiprocessing.Process(
-            target=_worker.main,
-            args=(theirs,),
-            name=f"repro-{self.config.name}-worker",
-            daemon=True,
-        )
-        try:
-            process.start()
-        except BaseException:
-            ours.close()
-            raise
-        finally:
-            theirs.close()
-        worker = _Worker(process, ours)
+        """Start one worker process (:func:`repro._worker.start`)."""
+        worker = _Worker(*_worker.start(f"repro-{self.config.name}-worker"))
         self._workers.append(worker)
         return worker
 
@@ -214,15 +194,12 @@ class AnalysisEngine:
         while True:
             reader, worker.writer = await asyncio.open_connection(sock=worker.sock)
             if self._closing.is_set():
-                worker.writer.write(_STOP)
+                worker.writer.write(_worker.STOP)
             booted = await self._read(worker, reader)
             self._workers.remove(worker)
             worker.writer.close()
             if worker.call is not None and not worker.call.done():
-                worker.call.set_exception(WorkerDied(
-                    f"worker pid {worker.process.pid} is gone "
-                    f"(exit code {worker.process.exitcode})"
-                ))
+                worker.call.set_exception(_worker.WorkerDied.of(worker.process))
             boot_deaths = 0 if booted else boot_deaths + 1
             if boot_deaths and not await self._pause(backoff_delay(boot_deaths - 1)):
                 return
@@ -281,12 +258,12 @@ class AnalysisEngine:
         """``function(*args)`` on an idle worker, within ``timeout`` seconds
         (``asyncio.TimeoutError``), the wait for the worker included.  A
         call whose worker dies runs once more on another worker, in what
-        is left of ``timeout``; :class:`WorkerDied` escapes only if that
-        worker dies too.
+        is left of ``timeout``; :class:`~repro._worker.WorkerDied` escapes
+        only if that worker dies too.
         """
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
-        message = _worker.frame((function, args))
+        message = _worker.frame((function, [args]))
         for attempt in range(2):
             while True:
                 if not self._idle.empty():
@@ -303,7 +280,7 @@ class AnalysisEngine:
                 # in wait_for would add a task per call
                 left = None if deadline is None else deadline - loop.time()
                 return await asyncio.wait_for(call, left)
-            except WorkerDied:
+            except _worker.WorkerDied:
                 if attempt:
                     raise
 
@@ -355,7 +332,7 @@ class AnalysisEngine:
         workers = list(self._workers)
         for worker in workers:
             if worker.writer is not None:  # else its slot sends the stop
-                worker.writer.write(_STOP)
+                worker.writer.write(_worker.STOP)
         try:
             await asyncio.gather(*self._slots)  # each returns at its worker's exit
         finally:
@@ -410,7 +387,7 @@ class AnalysisEngine:
                     message=f"evaluation exceeded {self.config.request_timeout_s} s "
                     "(the worker task keeps running; retry may hit the cache)",
                 )
-            except WorkerDied as exc:
+            except _worker.WorkerDied as exc:
                 return error_response(
                     req.id,
                     status=500,

@@ -22,7 +22,8 @@ that owns one :class:`~repro.serve.engine.AnalysisEngine`: the shell
 handles sockets, framing, in-flight accounting and the drain; this
 module adds only the single-node dispatch, engine startup (workers,
 calibration, admission) and engine release (the workers).  The cluster
-tier (:mod:`repro.cluster`) runs the same server in N shard processes.
+tier (:mod:`repro.cluster`) runs the same server in N shard processes,
+whose body (``_shard_main``) is here too.
 
 Lifecycle: ``start()`` starts the workers, runs a calibration pass
 (which both pre-imports the analysis in the workers and primes the NC
@@ -36,7 +37,11 @@ The exit code is 0 iff no admitted request was dropped.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import multiprocessing
 import os
+import sys
 from typing import Any
 
 from .. import __version__
@@ -120,6 +125,30 @@ def run(config: "ServeConfig | None" = None, *, on_ready=None) -> int:
     shard processes use it to report their ephemeral port upstream.
     """
     return run_service(AnalysisServer(config), on_ready=on_ready)
+
+
+def _shard_main(config: ServeConfig, conn: Any) -> None:
+    """A cluster shard's process body: :func:`run`, reporting the bound
+    ``(host, port)`` on ``conn`` and draining once the process that
+    started the shard is gone.  It lives here so that a spawned shard
+    imports nothing of :mod:`repro.cluster` to find it."""
+    # for the engine's workers; a shard runs one thread, so forking is safe
+    multiprocessing.set_start_method("fork", force=True)
+    server = AnalysisServer(config)
+    # readable at end-of-file, once the process that started the shard is gone
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def orphaned() -> None:
+        asyncio.get_running_loop().remove_reader(sentinel)
+        server.request_shutdown()
+
+    def report(host: str, port: int) -> None:
+        asyncio.get_running_loop().add_reader(sentinel, orphaned)
+        with contextlib.suppress(OSError):  # no one to report to: orphaned() drains
+            conn.send((host, port))
+        conn.close()
+
+    sys.exit(run_service(server, on_ready=report))
 
 
 class ServerThread(ServiceThread):

@@ -6,16 +6,15 @@ function of ``(model, params, options, seed)`` — the model being a
 pipeline document or the :class:`~repro.streaming.Pipeline` parsed from
 it — which buys three properties at once:
 
-* points pickle cleanly into a :mod:`multiprocessing` pool;
+* points pickle cleanly to worker processes;
 * results are content-addressable (see :mod:`repro.sweep.cache`);
 * serial, parallel, and cached runs produce identical results.
 
 A sweep parses its base document once (:attr:`SweepSpec.pipeline`) and
 hands every point the parsed pipeline, which the point changes by its
 params (:func:`~repro.sweep.spec.apply_params`); a served request or a
-catalog scenario brings a document, which the point parses.  A process
-pool receives a model that all its points share once per worker, and
-the points without it.
+catalog scenario brings a document, which the point parses.  A message
+to a worker pickles a model that its points share once.
 
 Per-point seeds derive from the spec's base seed and the point's
 parameters via SHA-256, so they are stable across runs, processes, and
@@ -27,16 +26,16 @@ The conformance replay a simulated point runs
 record in one linear pass, and shares the report's virtual delays with
 the point's ``des`` block: they are computed once per point.
 
-Worker-pool failures degrade gracefully: if the pool cannot be created,
-the whole sweep runs serially; if a worker *dies mid-point* (OOM kill,
-segfault — surfacing as ``BrokenProcessPool``), every point the broken
-pool took down is evaluated again on a one-worker pool, one at a time,
-and a point that breaks that pool too is marked failed in the
-results/manifest.  A point that killed a worker never runs in-process:
-it could kill the sweep.  Either way the run completes and the manifest
-records mode ``parallel-degraded``.
+``jobs > 1`` runs the points on worker processes of :mod:`repro._worker`,
+the protocol ``repro serve`` runs its calls on, in chunks of points.  A
+worker that *dies mid-point* (OOM kill, segfault) costs the point it
+was running, which is marked failed in the results/manifest, and a new
+worker takes the rest of its chunk.  A point that killed a worker never
+runs again, in-process least of all: it could kill the sweep.  If no
+worker boots, the sweep runs serially.  Either way the run completes
+and the manifest records mode ``parallel-degraded``.
 
-:func:`evaluate_points` is that loop — cache lookup, pool, serial
+:func:`evaluate_points` is that loop — cache lookup, workers, serial
 fill-in, store — for any list of points; the scenario catalog
 (:func:`repro.scenarios.run_catalog`) runs on it too.
 """
@@ -44,6 +43,7 @@ fill-in, store — for any list of points; the scenario catalog
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -204,44 +204,8 @@ Payload = tuple[
     "Mapping[str, Any] | Pipeline", Mapping[str, Any], Mapping[str, Any], int
 ]
 
-
-def _evaluate_payload(payload: Payload) -> dict[str, Any]:
-    """Evaluate one payload (module-level so it pickles)."""
-    model, params, options, seed = payload
-    return evaluate_point(model, params, options, seed)
-
-
-#: in a pool worker, the model its pool's payloads are sent without
-_shared_model: "Mapping[str, Any] | Pipeline | None" = None
-
-
-def _share_model(model: "Mapping[str, Any] | Pipeline | None") -> None:
-    """Pool initializer: keep the model the pool's payloads are sent without."""
-    global _shared_model
-    _shared_model = model
-
-
-def _evaluate_in_pool(payload: Payload) -> dict[str, Any]:
-    """Pool entry point: a payload without a model takes the shared one."""
-    model, params, options, seed = payload
-    return _evaluate_payload(
-        (_shared_model if model is None else model, params, options, seed)
-    )
-
-
-def _pool(workers: int, shared: "Mapping[str, Any] | Pipeline | None") -> Any:
-    """A process pool whose workers each receive ``shared`` once."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(
-        max_workers=workers, initializer=_share_model, initargs=(shared,)
-    )
-
-
-def _sent(payload: Payload, shared: "Mapping[str, Any] | Pipeline | None") -> Payload:
-    """``payload`` as submitted to a pool that holds ``shared``."""
-    model, params, options, seed = payload
-    return (None if model is shared else model, params, options, seed)
+#: the most points one message to a worker carries
+MAX_CHUNK = 64
 
 
 def evaluate_points(
@@ -251,12 +215,12 @@ def evaluate_points(
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> tuple[list[dict[str, Any]], list[bool], str]:
-    """Answer every point: cache lookup, pool, serial fill-in, store.
+    """Answer every point: cache lookup, workers, serial fill-in, store.
 
     ``keys[i]`` is the cache key of ``payloads[i]``.  Every lookup
     happens before any evaluation and every store after the last one;
     failed points are not stored.  ``jobs > 1`` evaluates the misses on
-    a process pool (see :func:`_run_parallel` for its failure tiers).
+    worker processes (see :func:`_run_parallel` for what a death costs).
     Returns the outputs and the cached flags, both in input order, and
     the mode (``serial``, ``parallel`` or ``parallel-degraded``).
     """
@@ -289,108 +253,38 @@ def _run_parallel(
     payloads: Sequence[Payload],
     jobs: int,
 ) -> str:
-    """Evaluate ``pending`` payloads on a process pool, filling ``raw``.
+    """Evaluate ``pending`` payloads on worker processes, filling ``raw``.
 
-    Returns the resulting mode string.  Three failure tiers:
-
-    * pool cannot be created — evaluate nothing here; the caller's
-      serial fill-in handles every pending point (``parallel-degraded``);
-    * a worker dies mid-point (``BrokenProcessPool``: OOM killer,
-      segfault, ``os._exit``) — every unfinished future breaks with the
-      pool, and points not yet submitted when it broke never ran, so
-      which point killed it is unknown; all of them go to
-      :func:`_isolate_casualties`, which charges the death to the point
-      that did it and never runs that point in-process;
-    * any other per-future failure (e.g. result transport) — the point
-      is left for the serial fill-in.
+    ``min(jobs, len(pending))`` workers (:func:`repro._worker.run_batch`)
+    take the points in chunks of ``ceil(len(pending) / (4 * workers))``,
+    at most :data:`MAX_CHUNK`: about four messages per worker, so a slow
+    chunk holds up little of the rest.  A point whose worker died running
+    it is marked failed, which keeps it out of the cache and out of this
+    process, where it could kill the sweep.  The caller's serial fill-in
+    evaluates the points no worker answered.  Either is mode
+    ``parallel-degraded``.
     """
-    # a sweep's points share its parsed base: each worker receives it once
-    model = payloads[pending[0]][0]
-    shared = model if all(payloads[i][0] is model for i in pending) else None
-    try:
-        from concurrent.futures.process import BrokenProcessPool
+    from .. import _worker
 
-        executor = _pool(min(jobs, len(pending)), shared)
-    except Exception:  # pool creation failure (e.g. no sem support)
-        return "parallel-degraded"
+    workers = min(jobs, len(pending))
+    chunk = min(MAX_CHUNK, math.ceil(len(pending) / (4 * workers)))
+    answers = _worker.run_batch(
+        evaluate_point, [payloads[i] for i in pending], chunk, workers
+    )
     mode = "parallel"
-    broken = False
-    suspects: list[int] = []
-    try:
-        futures = {}
-        try:
-            for i in pending:
-                futures[i] = executor.submit(
-                    _evaluate_in_pool, _sent(payloads[i], shared)
-                )
-        except BrokenProcessPool:
-            broken = True  # a worker died before the last submission
-        except Exception:  # submission failure: nothing parallel ran
-            return "parallel-degraded"
-        for i in pending:
-            future = futures.get(i)
-            # once the pool is known broken, a future that is not done
-            # can only fail, or never finish if it was submitted while
-            # the pool was failing its futures: do not wait for it
-            if future is None or (broken and not future.done()):
-                suspects.append(i)
-                continue
-            try:
-                raw[i] = future.result()
-            except BrokenProcessPool:
-                broken = True
-                suspects.append(i)
-            except Exception:
-                mode = "parallel-degraded"
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    if suspects:
-        _isolate_casualties(raw, suspects, payloads, shared)
+    for j, i in enumerate(pending):
+        ok, value = answers.get(j, (False, None))
+        if ok:
+            raw[i] = value
+            continue
         mode = "parallel-degraded"
+        if isinstance(value, _worker.WorkerDied):
+            raw[i] = {
+                "error": "WorkerDied: worker died evaluating this point "
+                f"(killed? out of memory?): {value}",
+                "elapsed": 0.0,
+            }
     return mode
-
-
-def _isolate_casualties(
-    raw: dict[int, dict[str, Any]],
-    suspects: Sequence[int],
-    payloads: Sequence[Payload],
-    shared: "Mapping[str, Any] | Pipeline | None",
-) -> None:
-    """Evaluate the points a broken pool took down, one per worker.
-
-    Each point runs alone on a one-worker pool.  A one-worker pool that
-    breaks was running exactly that point, so the point is recorded as
-    failed (and not stored); a fresh one-worker pool takes the rest.
-    Any other failure (no pool, no result) leaves the point to the
-    caller's serial fill-in, as in :func:`_run_parallel`.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
-    executor = None
-    try:
-        for i in suspects:
-            try:
-                if executor is None:
-                    executor = _pool(1, shared)
-                raw[i] = executor.submit(
-                    _evaluate_in_pool, _sent(payloads[i], shared)
-                ).result()
-            except BrokenProcessPool as exc:
-                detail = f": {exc}" if str(exc) else ""
-                raw[i] = {
-                    "error": (
-                        "BrokenProcessPool: worker died evaluating this "
-                        f"point (killed? out of memory?){detail}"
-                    ),
-                    "elapsed": 0.0,
-                }
-                executor.shutdown(wait=False)
-                executor = None
-            except Exception:
-                pass
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
 
 
 @dataclass(frozen=True)
@@ -508,11 +402,11 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every point of ``spec``.
 
-    ``jobs > 1`` evaluates cache misses on a :mod:`multiprocessing`
-    pool; any pool failure falls back to serial evaluation of the
-    remaining points (recorded as mode ``parallel-degraded``).  Cached
-    points never hit the pool.  Results come back in grid order
-    regardless of completion order.
+    ``jobs > 1`` evaluates cache misses on worker processes; a point
+    that kills its worker is marked failed, and the points no worker
+    could run are evaluated serially (either is recorded as mode
+    ``parallel-degraded``).  Cached points never reach a worker.
+    Results come back in grid order regardless of completion order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

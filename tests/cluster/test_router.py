@@ -3,7 +3,7 @@
 Mirrors the ``tests/serve`` harness style: a module-scoped cluster
 (two spawned shard processes behind a router thread) serves the happy
 paths; failure injection (SIGKILL mid-life, the cluster analogue of
-the sweep runner's BrokenProcessPool test) gets its own cluster so the
+the sweep runner's worker-death test) gets its own cluster so the
 shared one stays healthy.  The down-set invariant is checked against
 in-process fake shards, one of which hangs up mid-exchange.
 """
@@ -216,7 +216,7 @@ class TestFailover:
             yield handle
 
     def test_shard_death_reroutes_to_the_ring_successor(self, small_cluster, model):
-        """The cluster analogue of the sweep BrokenProcessPool test:
+        """The cluster analogue of the sweep worker-death test:
         kill a shard out from under the router, then request a point
         that shard owned — the router must answer from the successor
         and surface the loss in /stats."""

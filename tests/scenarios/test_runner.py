@@ -22,22 +22,20 @@ from repro.scenarios import (
     write_reports,
 )
 from repro.sweep import ResultCache
+from repro.sweep.runner import evaluate_point
 from repro.units import KiB, MiB
 
 
-def _killer_payload(payload):
-    """Pool entry point that hard-kills the worker on the ``victim`` model.
+def _killing_evaluate_point(model, params, options, seed):
+    """Worker entry point that hard-kills its worker on the ``victim`` model.
 
-    Module level so it pickles; ``os._exit`` so the worker dies the way
-    an OOM kill or a segfault looks from the parent.  It only ever
-    kills a pool worker: run in the test process it evaluates normally.
+    Module level so it pickles by name; ``os._exit`` so the worker dies
+    the way an OOM kill or a segfault looks from the parent.  It only
+    ever kills a worker: run in the test process it evaluates normally.
     """
     import multiprocessing
     import os
 
-    from repro.sweep.runner import evaluate_point
-
-    model, params, options, seed = payload
     if model["name"] == "victim" and multiprocessing.parent_process() is not None:
         os._exit(1)
     return evaluate_point(model, params, options, seed)
@@ -137,9 +135,9 @@ class TestRunCatalog:
     def test_worker_death_marks_scenario_failed_and_continues(self, monkeypatch, tmp_path):
         import repro.sweep.runner as sweep_runner
 
-        monkeypatch.setattr(sweep_runner, "_evaluate_payload", _killer_payload)
+        monkeypatch.setattr(sweep_runner, "evaluate_point", _killing_evaluate_point)
         # the victim goes first here; the next test puts it between two
-        # siblings that break with the pool too
+        # siblings that run next to it
         names = ["victim", "second", "third"]
         specs = [_single_stage_spec(name=n) for n in names]
         cache = ResultCache(tmp_path / "cache")
@@ -149,9 +147,9 @@ class TestRunCatalog:
         assert [r.spec.name for r in result.results] == names
         # exactly one casualty, not rerun in-process: the scenario the
         # worker died on
-        broken = [r for r in result.results if r.error and "BrokenProcessPool" in r.error]
+        broken = [r for r in result.results if r.error and "WorkerDied" in r.error]
         assert [r.spec.name for r in broken] == ["victim"]
-        # every sibling was evaluated (in the pool or serially) and passed
+        # every sibling was evaluated by a worker and passed
         assert [r.spec.name for r in result.results if r.ok] == ["second", "third"]
         # the casualty is not cached: a later run evaluates it again
         assert len(cache) == 2
@@ -163,15 +161,15 @@ class TestRunCatalog:
     def test_worker_death_is_charged_to_the_scenario_that_killed_it(self, monkeypatch):
         import repro.sweep.runner as sweep_runner
 
-        monkeypatch.setattr(sweep_runner, "_evaluate_payload", _killer_payload)
+        monkeypatch.setattr(sweep_runner, "evaluate_point", _killing_evaluate_point)
         # "first" is still running (or queued) when "victim" kills its
-        # worker, so "first" breaks with the pool too; only a rerun on a
-        # one-worker pool tells the two apart
+        # worker: the death is charged to the call the dead worker was
+        # running, and to no other
         names = ["first", "victim", "last"]
         result = run_catalog([_single_stage_spec(name=n) for n in names], jobs=2)
         assert result.mode == "parallel-degraded"
         broken = [r.spec.name for r in result.results
-                  if r.error and "BrokenProcessPool" in r.error]
+                  if r.error and "WorkerDied" in r.error]
         assert broken == ["victim"]
         assert [r.spec.name for r in result.results if r.ok] == ["first", "last"]
 

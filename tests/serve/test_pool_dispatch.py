@@ -6,7 +6,9 @@ goes on answering.  A worker that dies before its first answer is
 restarted after a backoff, so one that cannot boot costs a bounded
 number of process starts.  Workers die with their engine: a SIGKILLed
 server or shard leaves no worker behind, and a SIGKILLed cluster
-router leaves no shard either.
+router leaves no shard either.  A parallel sweep runs its points on the
+same workers (``repro._worker``), and a SIGKILLed sweep leaves none
+behind.
 
 The in-process server forks its workers (the default start method on
 Linux), and so does a cluster shard, a spawned process that sets its
@@ -337,6 +339,30 @@ def test_workers_of_a_sigkilled_server_exit():
             server.wait(30)
             assert _still_running(workers, within_s=5.0) == []
     finally:
+        _kill_all(workers)
+
+
+@linux_only
+def test_workers_of_a_sigkilled_sweep_exit(tmp_path):
+    # eight simulated points of about 0.6 s each: still running when killed
+    sweep = subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", "blast", "--grid", "scale:network=0.5:2:8",
+         "--simulate", "--workload-mib", "2048", "--jobs", "2", "--out", str(tmp_path / "out")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and time.monotonic() < deadline:
+            workers = _children(sweep.pid)
+            time.sleep(0.01)
+        assert len(workers) == 2, workers
+        sweep.kill()
+        sweep.wait(30)
+        assert _still_running(workers, within_s=5.0) == []
+    finally:
+        sweep.kill()
+        sweep.wait(30)
         _kill_all(workers)
 
 

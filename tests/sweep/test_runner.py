@@ -3,9 +3,12 @@ per-point seeds, artifact store."""
 
 import json
 import math
+import multiprocessing
+import os
 
 import pytest
 
+from repro import _worker
 from repro.apps.blast import blast_pipeline
 from repro.streaming import analyze, upgrade_grid
 from repro.sweep import (
@@ -18,6 +21,7 @@ from repro.sweep import (
     write_artifacts,
 )
 from repro.sweep import runner as runner_mod
+from repro.sweep.runner import evaluate_point
 from repro.units import MiB
 
 from .test_cache import full_payload_key
@@ -32,21 +36,43 @@ def _spec(simulate=False, workload=None):
     )
 
 
-def _killer_payload(payload):
-    """Pool entry point that hard-kills the worker on one param combo.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method(allow_none=True) not in (None, "fork"),
+    reason="worker-death injection relies on the fork start method",
+)
 
-    Module level so it pickles; ``os._exit`` (not an exception) so the
-    worker process dies without cleanup, which is what the OOM killer
-    or a segfault looks like from the parent's side.
+
+def _killing_evaluate_point(model, params, options, seed):
+    """Worker entry point that hard-kills its worker on one param combo.
+
+    Module level so it pickles by name; ``os._exit`` (not an exception)
+    so the worker process dies without cleanup, which is what the OOM
+    killer or a segfault looks like from the parent's side.  It only
+    ever kills a worker: run in the test process it evaluates normally.
     """
-    import os
-
-    model, params, options, seed = payload
-    if params.get("scale:network") == 0.5:
+    if params.get("scale:network") == 0.5 and multiprocessing.parent_process() is not None:
         os._exit(1)
-    from repro.sweep.runner import evaluate_point
-
     return evaluate_point(model, params, options, seed)
+
+
+def _logging_evaluate_point(model, params, options, seed):
+    """Worker entry point that appends point ``params["k"]`` to the file
+    ``options["log"]`` as it starts.  In a worker, point 1 kills its
+    worker once point 3 has started, and point 3 takes 1 s."""
+    import time
+    from pathlib import Path
+
+    log = Path(options["log"])
+    with log.open("a") as f:  # one short append per start: lines never interleave
+        f.write(f"{params['k']}\n")
+    if params["k"] == 1 and multiprocessing.parent_process() is not None:
+        deadline = time.monotonic() + 30.0
+        while "3" not in log.read_text().split() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(1)
+    if params["k"] == 3:
+        time.sleep(1.0)
+    return {"nc": {"k": params["k"]}, "elapsed": 0.0}
 
 
 class TestSeeds:
@@ -84,7 +110,7 @@ class TestRunSweep:
         spec = _spec()
         serial = run_sweep(spec, jobs=1)
         parallel = run_sweep(spec, jobs=2)
-        assert parallel.mode in ("parallel", "parallel-degraded")
+        assert parallel.mode == "parallel"
         assert serial.comparable() == parallel.comparable()
 
     def test_cache_skips_recomputation_and_is_identical(self, tmp_path):
@@ -111,44 +137,73 @@ class TestRunSweep:
     def test_pool_failure_degrades_to_serial(self, monkeypatch):
         spec = _spec()
 
-        def boom(*args, **kwargs):
-            raise OSError("no pool for you")
+        def boom(name):
+            raise OSError("no worker for you")
 
-        import concurrent.futures
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(_worker, "start", boom)
         result = run_sweep(spec, jobs=4)
         assert result.mode == "parallel-degraded"
         assert len(result.results) == 4
         assert not result.errors
         assert result.comparable() == run_sweep(spec, jobs=1).comparable()
 
-    @pytest.mark.skipif(
-        __import__("multiprocessing").get_start_method(allow_none=True) not in (None, "fork"),
-        reason="worker-death injection relies on the fork start method",
-    )
-    def test_worker_death_marks_point_failed_and_continues(self):
-        spec = _spec()
-        import repro.sweep.runner as runner_mod
+    @fork_only
+    def test_workers_that_cannot_boot_leave_the_sweep_to_serial(self, monkeypatch):
+        boots = multiprocessing.Value("i", 0)
 
-        orig = runner_mod._evaluate_payload
-        try:
-            runner_mod._evaluate_payload = _killer_payload
-            result = runner_mod.run_sweep(spec, jobs=2)
-        finally:
-            runner_mod._evaluate_payload = orig
+        def main(sock):
+            with boots.get_lock():
+                boots.value += 1
+            os._exit(1)
+
+        monkeypatch.setattr(_worker, "main", main)
+        spec = _spec()
+        result = run_sweep(spec, jobs=2)
+        assert result.mode == "parallel-degraded"
+        assert not result.errors
+        assert result.comparable() == run_sweep(spec, jobs=1).comparable()
+        # a worker that dies before it boots is not replaced
+        assert boots.value <= 2
+
+    @fork_only
+    def test_worker_death_marks_point_failed_and_continues(self, monkeypatch):
+        spec = _spec()
+        monkeypatch.setattr(runner_mod, "evaluate_point", _killing_evaluate_point)
+        result = run_sweep(spec, jobs=2)
         # pool mode collapsed, but the sweep itself survived
         assert result.mode == "parallel-degraded"
         assert len(result.results) == 4
         # the casualties are exactly the two points that kill a worker
         # (scale:network=0.5); neither ran in-process, where the killer
-        # entry point is not installed and would have evaluated normally
-        broken = [r for r in result.results if r.error and "BrokenProcessPool" in r.error]
+        # entry point evaluates normally
+        broken = [r for r in result.results if r.error and "WorkerDied" in r.error]
         assert [r.params["scale:network"] for r in broken] == [0.5, 0.5]
         # every other point came back with a real result
         healthy = [r for r in result.results if r.error is None]
         assert [r.params["scale:network"] for r in healthy] == [1.0, 1.0]
         assert all(r.nc for r in healthy)
+
+    @fork_only
+    def test_a_death_costs_its_point_alone_and_every_point_starts_once(
+        self, monkeypatch, tmp_path
+    ):
+        log = tmp_path / "starts.log"
+        log.touch()
+        monkeypatch.setattr(runner_mod, "evaluate_point", _logging_evaluate_point)
+        # 24 points on 2 workers go in chunks of 3: point 1 kills its
+        # worker in the middle of the first chunk, while point 3 (the
+        # second chunk's first) runs on the other worker
+        payloads = [({}, {"k": k}, {"log": str(log)}, 0) for k in range(24)]
+        outs, cached, mode = runner_mod.evaluate_points(
+            payloads, [f"key-{k}" for k in range(24)], jobs=2
+        )
+        starts = sorted(int(k) for k in log.read_text().split())
+        assert starts == list(range(24))  # killer and slow point included
+        assert mode == "parallel-degraded"
+        assert "WorkerDied" in outs[1]["error"]
+        assert [out["nc"] for k, out in enumerate(outs) if k != 1] == [
+            {"k": k} for k in range(24) if k != 1
+        ]
 
     def test_point_error_is_isolated(self, monkeypatch):
         spec = _spec()

@@ -4,9 +4,11 @@ Every check starts a fresh interpreter, as a user's process starts.  The
 batch entry modules with an NC-only sweep point, and the serving
 processes, load neither NumPy nor the DES, the figures or ``tomllib``.
 A simulated point loads them when it runs, and answers as it does in a
-process that had them from the start.  A spawned engine worker, as
-``repro serve`` starts them where spawn is the platform's default start
-method, loads nothing of the serving stack.
+process that had them from the start.  A serial sweep or catalog loads
+none of the worker machinery, which only ``jobs > 1`` needs.  A spawned
+engine worker, as ``repro serve`` starts them where spawn is the
+platform's default start method, loads nothing of the serving stack,
+and a spawned cluster shard finds its body without the cluster tier.
 """
 
 from __future__ import annotations
@@ -41,6 +43,31 @@ sim = repro.sweep.evaluate_point(model, {PARAMS!r}, {SIMULATED!r}, {SEED})
 print(json.dumps({{"new": new, "heavy": heavy, "nc": nc, "sim": sim}}))
 """
 
+#: what only a parallel batch (``jobs > 1``) needs
+WORKER_MACHINERY = (
+    "multiprocessing", "socket", "selectors", "concurrent.futures", "repro._worker",
+)
+
+#: a serial sweep (NC and simulated points) and a serial catalog, both
+#: into a result cache
+SERIAL_BATCH_CHILD = f"""
+import json, sys, tempfile
+import repro.scenarios, repro.sweep
+from repro.apps.blast import blast_pipeline
+
+with tempfile.TemporaryDirectory() as tmp:
+    cache = repro.sweep.ResultCache(tmp)
+    for simulate in (False, True):
+        spec = repro.sweep.SweepSpec.from_pipeline(
+            blast_pipeline(), [repro.sweep.Axis("scale:network", (1.0, 2.0))],
+            simulate=simulate, workload=2 * 1024 * 1024,
+        )
+        assert repro.sweep.run_sweep(spec, jobs=1, cache=cache).mode == "serial"
+    specs = repro.scenarios.quick_catalog(per_family=1)
+    assert repro.scenarios.run_catalog(specs, jobs=1, cache=cache).mode == "serial"
+    cache.close()
+print(json.dumps([m for m in {WORKER_MACHINERY!r} if m in sys.modules]))
+"""
 
 #: an engine with one spawned worker, run from a ``-c`` main; after one
 #: NC-only call the worker reports what it has imported
@@ -122,3 +149,19 @@ def test_spawned_worker_loads_nothing_of_the_serving_stack():
     assert "error" not in child["nc"], child["nc"]
     assert "repro.sweep.runner" in child["modules"]
     assert [m for m in SERVING_STACK if m in child["modules"]] == []
+
+
+def test_serial_batch_loads_no_worker_machinery():
+    assert json.loads(_python(SERIAL_BATCH_CHILD)) == []
+
+
+def test_shard_body_module_loads_nothing_of_the_cluster_tier():
+    from repro.cluster import shards
+
+    # what a spawned shard imports to find its process body
+    module = shards._shard_main.__module__
+    code = (
+        f"import json, sys, {module}\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('repro.cluster')]))\n"
+    )
+    assert json.loads(_python(code)) == []
