@@ -4,17 +4,20 @@ An analysis engine (:mod:`repro.serve.engine`) runs its calls on
 workers from its event loop, and a parallel sweep
 (:func:`repro.sweep.runner.evaluate_points`) through :func:`run_batch`;
 :func:`start` starts a worker for either, joined to its caller by one
-socket pair.  Every message, either way, is a pickle behind an 8-byte
+socket pair.  Every message, either way, is a body behind its 8-byte
 big-endian length.  A worker first sends an empty message, which says
 it has booted; its caller sends it nothing before that.  The caller
-sends ``(function, [args, ...])``, one call from an engine and a chunk
-of points from a sweep; the worker calls ``function(*args)`` for each
-``args`` in order and answers each call as soon as it returns:
-``(True, result)``, or ``(False, exception)`` when it raised.  So the
-first call of a message with no answer is the one a dead worker was
-running.  ``None`` asks the worker to exit, and so does end-of-file:
-the caller's end closes when the caller's process dies, however it
-dies, so a worker never outlives its caller by more than one call.
+sends :func:`message`: the number of calls, then ``(function, [args,
+...])`` pickled, one call from an engine and a chunk of points from a
+sweep.  The worker calls ``function(*args)`` for each ``args`` in order
+and answers each call, pickled, as soon as it returns: ``(True,
+result)``, or ``(False, exception)`` when it raised.  A message it
+cannot unpickle is answered with the exception once per call.  So every
+call gets one answer, in order, and the first call of a message with no
+answer is the one a dead worker was running.  A message of no calls
+(:data:`STOP`) asks the worker to exit, and so does end-of-file: the
+caller's end closes when the caller's process dies, however it dies, so
+a worker never outlives its caller by more than one call.
 
 A worker starts clean, however it was started.  A forked worker (on
 Linux, those of ``repro serve``, of a sweep and of every cluster shard)
@@ -45,20 +48,34 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-__all__ = ["HEADER", "STOP", "WorkerDied", "frame", "main", "run_batch", "start"]
+__all__ = [
+    "HEADER", "MAX_CHUNK", "STOP", "WorkerDied", "frame", "main", "message",
+    "run_batch", "start",
+]
 
 #: the length prefix of every message
 HEADER = struct.Struct("!Q")
+#: the number of calls, which leads a message to a worker
+COUNT = struct.Struct("!I")
 
 
 def frame(obj: Any) -> bytes:
-    """``obj`` pickled, behind its length."""
+    """``obj`` pickled, behind its length: a worker's answer."""
     body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
     return HEADER.pack(len(body)) + body
 
 
-#: the message that asks a worker to exit
-STOP = frame(None)
+def message(function: Callable[..., Any], calls: Sequence[tuple[Any, ...]]) -> bytes:
+    """The message that asks a worker for ``function(*args)`` for each
+    ``args`` of ``calls``: their number, then the two pickled."""
+    body = COUNT.pack(len(calls)) + pickle.dumps(
+        (function, calls), pickle.HIGHEST_PROTOCOL
+    )
+    return HEADER.pack(len(body)) + body
+
+
+#: the message that asks a worker to exit: no calls
+STOP = HEADER.pack(COUNT.size) + COUNT.pack(0)
 
 
 class WorkerDied(Exception):
@@ -102,25 +119,36 @@ def _start_clean(keep: int) -> None:
     os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
 
 
+def _receive(sock: socket.socket) -> bytes | None:
+    """The body of the next message on ``sock``, or ``None`` once the
+    process at the other end is gone."""
+    try:
+        header = sock.recv(HEADER.size, socket.MSG_WAITALL)
+        if len(header) == HEADER.size:
+            size = HEADER.unpack(header)[0]
+            body = sock.recv(size, socket.MSG_WAITALL)
+            if len(body) == size:
+                return body
+    except OSError:
+        pass
+    return None
+
+
 def main(sock: socket.socket) -> None:
-    """Answer calls on ``sock`` until ``None`` or end-of-file."""
+    """Answer calls on ``sock`` until :data:`STOP` or end-of-file."""
     _start_clean(sock.fileno())
-    with sock, sock.makefile("rb") as stream:
+    with sock:
         try:
             sock.sendall(HEADER.pack(0))  # booted
-            while True:
-                header = stream.read(HEADER.size)
-                if len(header) < HEADER.size:
-                    return  # end-of-file: the caller closed its end or died
-                body = stream.read(HEADER.unpack(header)[0])
+            while body := _receive(sock):  # None once the caller is gone
+                (count,) = COUNT.unpack_from(body)
+                if not count:
+                    return  # STOP
                 try:
-                    message = pickle.loads(body)
+                    function, calls = pickle.loads(memoryview(body)[COUNT.size:])
                 except Exception as exc:  # noqa: BLE001 - the caller re-raises it
-                    sock.sendall(frame((False, exc)))
+                    sock.sendall(frame((False, exc)) * count)
                     continue
-                if message is None:
-                    return
-                function, calls = message
                 for args in calls:
                     try:
                         reply = frame((True, function(*args)))
@@ -131,14 +159,17 @@ def main(sock: socket.socket) -> None:
             return  # the caller's end broke mid-message: it is gone
 
 
+#: the most calls one message of a batch carries
+MAX_CHUNK = 64
+
+
 @dataclass(eq=False)
 class _BatchWorker:
-    """A batch's worker: the bytes read of its next answers, and the
-    calls of its message that have no answer yet (none while idle)."""
+    """A batch's worker, and the calls of its message that have no
+    answer yet (none while it is idle)."""
 
     process: multiprocessing.process.BaseProcess
     sock: socket.socket
-    buffer: bytes = b""
     booted: bool = False
     calls: deque[int] = field(default_factory=deque)
 
@@ -146,27 +177,25 @@ class _BatchWorker:
 def run_batch(
     function: Callable[..., Any],
     calls: Sequence[tuple[Any, ...]],
-    chunk: int,
     workers: int,
 ) -> dict[int, tuple[bool, Any]]:
     """``function(*calls[i])`` for every ``i``, on ``workers`` new workers.
 
-    Each idle worker gets the next ``chunk`` calls in one message.
-    Returns each call's answer by its index: ``(True, result)``,
-    ``(False, exception)`` when it raised, or ``(False, WorkerDied)`` for
-    the call a worker died running, which runs nowhere else.  The rest of
-    a dead worker's message goes back to the queue, and a new worker
-    takes its place.  A worker that dies before it boots is not
-    replaced, nor is one that answers an exception (it may be unable to
-    read its messages), so a call has no answer when no worker is left
-    to run it.  Every worker has exited when this returns.
+    An idle worker gets ``ceil(left / (4 * workers))`` of the ``left``
+    calls no worker has, at most :data:`MAX_CHUNK`, in one message: the
+    messages shrink to one call as the batch ends, so no worker is left
+    with much to do while the others are idle.  Returns each call's
+    answer by its index: ``(True, result)``, ``(False, exception)`` when
+    it raised, or ``(False, WorkerDied)`` for the call a worker died
+    running, which runs nowhere else.  The rest of a dead worker's
+    message goes back to the queue, and a new worker takes its place
+    unless the dead one never booted.  A call has no answer when no
+    worker is left to run it.  Every worker has exited when this
+    returns.
     """
     import selectors
 
-    queue = deque(
-        range(first, min(first + chunk, len(calls)))
-        for first in range(0, len(calls), chunk)
-    )
+    queue = deque(range(len(calls)))
     answers: dict[int, tuple[bool, Any]] = {}
     selector = selectors.DefaultSelector()
     live: list[_BatchWorker] = []
@@ -185,62 +214,53 @@ def run_batch(
             worker.process.kill()
         worker.process.join()
 
-    def drop(worker: _BatchWorker, *, replace: bool) -> None:
+    def drop(worker: _BatchWorker) -> None:
+        """Charge a dead worker's first unanswered call with its death,
+        queue the rest, and replace it if it had booted."""
         live.remove(worker)
         selector.unregister(worker.sock)
         stop(worker)
         if worker.calls:
-            queue.appendleft(worker.calls)
-        if replace:
+            answers[worker.calls.popleft()] = (False, WorkerDied.of(worker.process))
+            queue.extendleft(reversed(worker.calls))
+        if worker.booted:
             launch()
 
     def feed(worker: _BatchWorker) -> None:
-        message = queue.popleft()
+        size = min(MAX_CHUNK, -(-len(queue) // (4 * workers)))
+        chunk = [queue.popleft() for _ in range(size)]
         try:
-            worker.sock.sendall(frame((function, [calls[i] for i in message])))
-        except OSError:  # it died idle: its end-of-file replaces it
-            queue.appendleft(message)
+            worker.sock.sendall(message(function, [calls[i] for i in chunk]))
+        except OSError:  # it died idle: it had no call to charge
+            queue.extendleft(reversed(chunk))
+            drop(worker)
         else:
-            worker.calls = deque(message)
+            worker.calls = deque(chunk)
 
     def read(worker: _BatchWorker) -> None:
-        try:
-            data = worker.sock.recv(1 << 16)
-        except OSError:
-            data = b""
-        if not data:  # the worker is gone
-            if worker.calls:
-                answers[worker.calls.popleft()] = (False, WorkerDied.of(worker.process))
-            drop(worker, replace=worker.booted)
-            return
-        buffer = worker.buffer + data
-        at = 0
-        while len(buffer) - at >= HEADER.size:
-            end = at + HEADER.size + HEADER.unpack_from(buffer, at)[0]
-            if len(buffer) < end:
-                break
-            body = memoryview(buffer)[at + HEADER.size:end]
-            at = end
-            if worker.booted:
-                i = worker.calls.popleft()
-                try:
-                    answers[i] = pickle.loads(body)
-                except Exception as exc:  # noqa: BLE001 - answered as raised
-                    answers[i] = (False, exc)
-                if not answers[i][0]:
-                    drop(worker, replace=False)
-                    return
+        body = _receive(worker.sock)
+        if body is None:
+            drop(worker)
+        elif not worker.booted:
             worker.booted = True
-            if not worker.calls and queue:
-                feed(worker)
-        worker.buffer = buffer[at:]
+        else:
+            i = worker.calls.popleft()
+            try:
+                answers[i] = pickle.loads(body)
+            except Exception as exc:  # noqa: BLE001 - answered as raised
+                answers[i] = (False, exc)
 
     try:
         for _ in range(workers):
             launch()
-        while live and (queue or any(worker.calls for worker in live)):
+        # each pass reads one message of every worker that has one, then
+        # feeds every idle worker, those whose siblings died among them
+        while any(not worker.booted or worker.calls for worker in live):
             for key, _ in selector.select():
                 read(key.data)
+            for worker in list(live):
+                if worker.booted and not worker.calls and queue:
+                    feed(worker)
         return answers
     finally:
         for worker in live:

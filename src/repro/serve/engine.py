@@ -263,7 +263,7 @@ class AnalysisEngine:
         """
         loop = asyncio.get_running_loop()
         deadline = None if timeout is None else loop.time() + timeout
-        message = _worker.frame((function, [args]))
+        message = _worker.message(function, [args])
         for attempt in range(2):
             while True:
                 if not self._idle.empty():

@@ -31,9 +31,10 @@ the protocol ``repro serve`` runs its calls on, in chunks of points.  A
 worker that *dies mid-point* (OOM kill, segfault) costs the point it
 was running, which is marked failed in the results/manifest, and a new
 worker takes the rest of its chunk.  A point that killed a worker never
-runs again, in-process least of all: it could kill the sweep.  If no
-worker boots, the sweep runs serially.  Either way the run completes
-and the manifest records mode ``parallel-degraded``.
+runs again, in-process least of all: it could kill the sweep.  The
+points no worker is left to run (none boots, say), and a point answered
+with an exception, run serially.  Either way the run completes and the
+manifest records mode ``parallel-degraded``.
 
 :func:`evaluate_points` is that loop — cache lookup, workers, serial
 fill-in, store — for any list of points; the scenario catalog
@@ -43,7 +44,6 @@ fill-in, store — for any list of points; the scenario catalog
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -204,9 +204,6 @@ Payload = tuple[
     "Mapping[str, Any] | Pipeline", Mapping[str, Any], Mapping[str, Any], int
 ]
 
-#: the most points one message to a worker carries
-MAX_CHUNK = 64
-
 
 def evaluate_points(
     payloads: Sequence[Payload],
@@ -256,20 +253,17 @@ def _run_parallel(
     """Evaluate ``pending`` payloads on worker processes, filling ``raw``.
 
     ``min(jobs, len(pending))`` workers (:func:`repro._worker.run_batch`)
-    take the points in chunks of ``ceil(len(pending) / (4 * workers))``,
-    at most :data:`MAX_CHUNK`: about four messages per worker, so a slow
-    chunk holds up little of the rest.  A point whose worker died running
-    it is marked failed, which keeps it out of the cache and out of this
-    process, where it could kill the sweep.  The caller's serial fill-in
-    evaluates the points no worker answered.  Either is mode
+    take the points in chunks that shrink to one point as the sweep ends.
+    A point whose worker died running it is marked failed, which keeps
+    it out of the cache and out of this process, where it could kill the
+    sweep.  The caller's serial fill-in evaluates the points no worker
+    answered, and a point answered with an exception.  Either is mode
     ``parallel-degraded``.
     """
     from .. import _worker
 
-    workers = min(jobs, len(pending))
-    chunk = min(MAX_CHUNK, math.ceil(len(pending) / (4 * workers)))
     answers = _worker.run_batch(
-        evaluate_point, [payloads[i] for i in pending], chunk, workers
+        evaluate_point, [payloads[i] for i in pending], min(jobs, len(pending))
     )
     mode = "parallel"
     for j, i in enumerate(pending):

@@ -1,10 +1,12 @@
 """Tests for sweep execution: serial/parallel/cached identity, fallback,
 per-point seeds, artifact store."""
 
+import contextlib
 import json
 import math
 import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -73,6 +75,67 @@ def _logging_evaluate_point(model, params, options, seed):
     if params["k"] == 3:
         time.sleep(1.0)
     return {"nc": {"k": params["k"]}, "elapsed": 0.0}
+
+
+def _tail_evaluate_point(model, params, options, seed):
+    """Worker entry point that logs ``start k`` and ``end k`` for point
+    ``params["k"]`` to the file ``options["log"]``.  In a worker, point 0
+    waits until every point from 2 on has ended, so that the other
+    worker is idle, and then fails as ``options["fault"]`` says:
+    ``"exit"`` kills its worker, ``"raise"`` raises."""
+    import time
+    from pathlib import Path
+
+    log, k = Path(options["log"]), params["k"]
+    with log.open("a") as f:
+        f.write(f"start {k}\n")
+    if k == 0 and multiprocessing.parent_process() is not None:
+        others = {f"end {j}" for j in range(2, options["n"])}
+        deadline = time.monotonic() + 30.0
+        while not others <= set(log.read_text().splitlines()):
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        time.sleep(0.3)  # the last answer reaches the caller first
+        if options["fault"] == "exit":
+            os._exit(1)
+        raise RuntimeError("injected")
+    with log.open("a") as f:
+        f.write(f"end {k}\n")
+    return {"nc": {"k": k}, "elapsed": 0.0}
+
+
+def _die_booting(sock):
+    """A worker body that exits before it says it has booted."""
+    os._exit(1)
+
+
+def _refuse_to_load():
+    raise ValueError("cannot be read here")
+
+
+class _Unreadable:
+    """An argument that pickles but cannot be unpickled."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise ``TimeoutError`` here after ``seconds``, so that a batch
+    that hangs fails its test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSeeds:
@@ -190,9 +253,10 @@ class TestRunSweep:
         log = tmp_path / "starts.log"
         log.touch()
         monkeypatch.setattr(runner_mod, "evaluate_point", _logging_evaluate_point)
-        # 24 points on 2 workers go in chunks of 3: point 1 kills its
-        # worker in the middle of the first chunk, while point 3 (the
-        # second chunk's first) runs on the other worker
+        # 24 points on 2 workers: the first two messages carry 3 points
+        # each (ceil(24/8), ceil(21/8)); point 1 kills its worker in the
+        # middle of the first, while point 3 (the second's first) runs
+        # on the other worker
         payloads = [({}, {"k": k}, {"log": str(log)}, 0) for k in range(24)]
         outs, cached, mode = runner_mod.evaluate_points(
             payloads, [f"key-{k}" for k in range(24)], jobs=2
@@ -204,6 +268,78 @@ class TestRunSweep:
         assert [out["nc"] for k, out in enumerate(outs) if k != 1] == [
             {"k": k} for k in range(24) if k != 1
         ]
+
+    @fork_only
+    @pytest.mark.parametrize(
+        "fault, replacement",
+        [("exit", "cannot_start"), ("exit", "dies_booting"), ("raise", None)],
+    )
+    def test_an_idle_worker_takes_what_a_failing_one_leaves(
+        self, monkeypatch, tmp_path, fault, replacement
+    ):
+        log = tmp_path / "starts.log"
+        log.touch()
+        monkeypatch.setattr(runner_mod, "evaluate_point", _tail_evaluate_point)
+        real_start, started = _worker.start, []
+
+        def start(name):
+            started.append(name)
+            if len(started) == 3:  # the worker that replaces a dead one
+                if replacement == "cannot_start":
+                    raise OSError("out of processes")
+                monkeypatch.setattr(_worker, "main", _die_booting)
+            return real_start(name)
+
+        monkeypatch.setattr(_worker, "start", start)
+        # 9 points on 2 workers: points 0 and 1 go in one message
+        # (ceil(9/8)), every later point alone; point 0 fails once the
+        # other worker has run them all and is idle
+        n = 9
+        options = {"log": str(log), "n": n, "fault": fault}
+        payloads = [({}, {"k": k}, options, 0) for k in range(n)]
+        with _within(60):
+            outs, _, mode = runner_mod.evaluate_points(
+                payloads, [f"key-{k}" for k in range(n)], jobs=2
+            )
+        assert mode == "parallel-degraded"
+        starts = sorted(
+            int(line.split()[1])
+            for line in log.read_text().splitlines()
+            if line.startswith("start")
+        )
+        if fault == "exit":
+            assert "WorkerDied" in outs[0]["error"]
+            assert starts == list(range(n))
+            assert len(started) == 3
+            answered = range(1, n)
+        else:  # answered as raised, so evaluated again in-process
+            assert starts == sorted([0, *range(n)])
+            assert len(started) == 2
+            answered = range(n)
+        assert [outs[k]["nc"] for k in answered] == [{"k": k} for k in answered]
+
+    @fork_only
+    def test_a_message_a_worker_cannot_read_is_answered_call_by_call(
+        self, monkeypatch
+    ):
+        real_start, started = _worker.start, []
+
+        def start(name):
+            started.append(name)
+            return real_start(name)
+
+        monkeypatch.setattr(_worker, "start", start)
+        calls = [(-k,) for k in range(8)]
+        calls[2] = (_Unreadable(),)
+        # one worker gets 8 calls as [0, 1], [2, 3], [4], [5], [6], [7]
+        with _within(60):
+            answers = _worker.run_batch(abs, calls, 1)
+        assert [ok for ok, _ in map(answers.get, range(8))] == [
+            i not in (2, 3) for i in range(8)
+        ]
+        assert all(isinstance(answers[i][1], ValueError) for i in (2, 3))
+        assert [answers[i][1] for i in (0, 1, 4, 5, 6, 7)] == [0, 1, 4, 5, 6, 7]
+        assert len(started) == 1  # that worker went on
 
     def test_point_error_is_isolated(self, monkeypatch):
         spec = _spec()
