@@ -1,8 +1,9 @@
 """Cluster scaling benchmark: capacity vs shard count under replayed load.
 
-Drives a real :class:`~repro.cluster.ClusterThread` (spawned shard
-processes, consistent-hash router, tenant registry) at 1, 2 and 4
-shards with the *same* open-loop heavy-tailed schedule and records:
+Drives a real :class:`~repro.cluster.ClusterThread` (shard processes
+forked from the router, consistent-hash router, tenant registry) at 1,
+2 and 4 shards with the *same* open-loop heavy-tailed schedule and
+records:
 
 * aggregate served throughput per shard count — on this class of
   container the shards share one core, so scaling is **capacity

@@ -28,7 +28,11 @@ of the other workers' sockets.  So :func:`main` first restores the
 default SIGTERM and SIGINT handlers, drops the wake-up descriptor and
 closes every descriptor but its own socket and stdio.  Otherwise a
 signal sent to the worker would drain its whole server, and a socket
-the caller closes would stay open in the worker.
+the caller closes would stay open in the worker.  A cluster shard,
+forked from its router, starts by the same rule
+(:func:`repro.serve.server._shard_main`), keeping its report pipe, its
+parent's sentinel and the descriptors behind ``sys.stdout`` and
+``sys.stderr``.
 
 This module imports nothing of :mod:`repro.serve`, so a spawned worker
 loads only what its calls need: an ``evaluate_point`` call imports
@@ -106,17 +110,22 @@ def start(name: str) -> tuple[multiprocessing.process.BaseProcess, socket.socket
     return process, ours
 
 
-def _start_clean(keep: int) -> None:
-    """Drop what a forked worker inherited of its caller's process: a
-    server's signal handlers, the wake-up descriptor, and every
-    descriptor but stdio and ``keep``."""
+def _start_clean(*keep: int) -> None:
+    """Drop what a forked process inherited of its parent: a server's
+    signal handlers, the wake-up descriptor, and every descriptor but
+    0-2 and those in ``keep``."""
     # the two signals the serving shell takes; its handlers only wake
     # the shell's loop, through the wake-up descriptor
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
     signal.set_wakeup_fd(-1)
-    os.closerange(3, keep)
-    os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+    # every range starts at 3 or above: os.closerange(0, 0) closes
+    # every descriptor on CPython, where closerange(3, 3) closes none
+    low = 3
+    for fd in sorted({fd for fd in keep if fd >= low}):
+        os.closerange(low, fd)
+        low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
 
 
 def _receive(sock: socket.socket) -> bytes | None:

@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ksub = pk.add_subparsers(dest="cluster_command", required=True)
 
-    ks = ksub.add_parser("start", help="spawn N shards and run the router")
+    ks = ksub.add_parser("start", help="fork N shards and run the router")
     ks.add_argument("--host", default="127.0.0.1")
     ks.add_argument("--port", type=int, default=7430, help="router port; 0 = ephemeral")
     ks.add_argument("--shards", type=int, default=2, help="shard processes")

@@ -1,7 +1,7 @@
 """Deterministic chaos harness: seeded faults under replayed load.
 
 "It fails over" is a claim; this module turns it into a measurement.
-A chaos run drives a real cluster (spawned shard processes, router,
+A chaos run drives a real cluster (forked shard processes, router,
 supervisor) with the PR 6 open-loop bounded-Pareto load replayer while
 a *seeded fault schedule* fires against it:
 

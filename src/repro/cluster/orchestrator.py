@@ -1,10 +1,11 @@
-"""Cluster lifecycle: spawn shards, start the router, drain both.
+"""Cluster lifecycle: fork shards, start the router, drain both.
 
 The composition root of the cluster tier.  :class:`ClusterConfig`
 describes the whole deployment (shard count, per-shard envelope, tenant
 pre-registrations); :class:`Cluster` turns it into N
-:class:`~repro.cluster.shards.ShardProcess`es plus one
-:class:`~repro.cluster.router.ClusterRouter` on the calling loop;
+:class:`~repro.cluster.shards.ShardProcess`es, forked on the calling
+loop's thread, plus one :class:`~repro.cluster.router.ClusterRouter` on
+that loop;
 :class:`ClusterThread` is the test/benchmark harness (full production
 path on a background thread, like ``serve.ServerThread``); :func:`run`
 is the blocking ``repro cluster start`` body.
@@ -119,17 +120,16 @@ class Cluster:
         self.port: "int | None" = None
 
     async def start(self) -> tuple[str, int]:
-        """Spawn every shard, wait for their ports, start router + supervisor."""
+        """Fork every shard, wait for their ports, start router + supervisor."""
         cfg = self.config
-        loop = asyncio.get_running_loop()
         self.shards = [
             ShardProcess(cfg.shard_config(i)) for i in range(cfg.shards)
         ]
-        # shard startup (spawn + pool + calibration) is seconds of wall
-        # clock each; launch them all, then collect ports concurrently
-        endpoints = await asyncio.gather(
-            *(loop.run_in_executor(None, shard.start) for shard in self.shards)
-        )
+        # a shard's pool and calibration take a while: fork them all
+        # before waiting on any, so that they start in parallel
+        for shard in self.shards:
+            shard.fork()
+        endpoints = await asyncio.gather(*(shard.listening() for shard in self.shards))
         # the table the previous router acknowledged, then the config's
         # pre-registrations on top (an unchanged one writes nothing)
         registry = TenantRegistry(cfg.journal_file())

@@ -1,20 +1,29 @@
 """Shard processes: one :class:`AnalysisServer` per OS process.
 
 A shard is the full single-node serving stack — asyncio loop, worker
-pool, result cache, admission — run under the *spawn* start method
-(fork is unsafe once any thread exists, and the pytest harness is
-threaded).  The shard itself is single-threaded, and by the time its
-engine starts a worker it has imported the whole serving and evaluation
-path, so it *forks* its workers: each starts with every module loaded,
-where a spawned one would import them again (DESIGN §18).  A shard
-drains, as on SIGTERM, when the process that started it dies, however
-it dies: it watches that process's sentinel on its event loop.  Its
-body lives in :mod:`repro.serve.server`, so that a spawned shard
-imports nothing of :mod:`repro.cluster` to find it.
+pool, result cache, admission — run in a process *forked* from its
+router.  The router has imported the whole serving and evaluation path
+by then, so a shard starts its engine at once: no second interpreter,
+no import, and no resource tracker, which the ``spawn`` start method
+runs next to the processes it starts.  A shard forks its own workers
+too, so each of them starts with every module loaded (DESIGN §18).
 
-:class:`ShardProcess` is the supervisor-side handle: it launches the
-process, waits for the shard to report its ephemeral ``(host, port)``
-over a pipe, and exposes the two ways a shard leaves the cluster:
+A fork copies only the thread that forks, so the router forks on its
+event-loop thread, never on an executor thread: ``concurrent.futures``
+joins its threads at exit, and a process forked on one would join
+itself and exit 1.  A fork also copies the router's signal handlers and
+descriptors: its listener, its client connections and the write ends
+of the other shards' sentinel pipes.  The shard drops all of them
+first, by the rule a worker starts by (``_shard_main``,
+:mod:`repro._worker`), and then drains, as on SIGTERM, when the process
+that started it dies, however it dies: it watches that process's
+sentinel on its event loop.  Its body lives in :mod:`repro.serve.server`,
+next to the server it runs.
+
+:class:`ShardProcess` is the supervisor-side handle: :meth:`fork`
+starts the process, :meth:`listening` waits on the loop for the shard
+to report its ephemeral ``(host, port)`` over a pipe, and two methods
+take a shard out of the cluster:
 
 * :meth:`terminate` — SIGTERM, the graceful path: the shard drains
   (answers in-flight work, stops its pool) and exits 0 iff lossless;
@@ -23,8 +32,8 @@ over a pipe, and exposes the two ways a shard leaves the cluster:
   re-route to the ring successor.
 
 :meth:`restart` is the supervision path back *into* the cluster: it
-reaps whatever is left of the previous process and launches a fresh
-one from the same :class:`~repro.serve.engine.ServeConfig` (ephemeral
+reaps whatever is left of the previous process and forks a fresh one
+from the same :class:`~repro.serve.engine.ServeConfig` (ephemeral
 port, so the replacement never races the corpse for the old socket).
 The supervisor then re-inserts the new ``(host, port)`` into the
 router's ring.
@@ -32,16 +41,30 @@ router's ring.
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
+from multiprocessing.connection import Connection
 
 from ..serve.engine import ServeConfig
 from ..serve.server import _shard_main
 
 __all__ = ["ShardProcess"]
 
-# spawn, not fork: shards start from a clean interpreter regardless of
-# what threads the launching process (pytest, the CLI) already runs
-_mp = multiprocessing.get_context("spawn")
+_mp = multiprocessing.get_context("fork")
+
+
+async def _readable(fd: int, timeout: float) -> bool:
+    """Whether ``fd`` turns readable within ``timeout`` seconds, waited
+    for on the running loop."""
+    loop = asyncio.get_running_loop()
+    ready = loop.create_future()
+    loop.add_reader(fd, lambda: ready.done() or ready.set_result(True))
+    try:
+        return await asyncio.wait_for(ready, timeout)
+    except asyncio.TimeoutError:
+        return False
+    finally:
+        loop.remove_reader(fd)
 
 
 class ShardProcess:
@@ -54,27 +77,41 @@ class ShardProcess:
         self.host: "str | None" = None
         self.port: "int | None" = None
         self._process: "multiprocessing.process.BaseProcess | None" = None
+        #: the end of the pipe the shard reports its endpoint on
+        self._report: "Connection | None" = None
 
-    def start(self) -> tuple[str, int]:
-        """Launch the shard; blocks until its listener is bound."""
+    def fork(self) -> None:
+        """Fork the shard from this process; :meth:`listening` waits
+        for it.  Call it on the thread that runs the event loop."""
         if self._process is not None:
             raise RuntimeError(f"shard {self.name!r} already started")
-        parent_conn, child_conn = _mp.Pipe(duplex=False)
-        self._process = _mp.Process(
+        report, conn = _mp.Pipe(duplex=False)
+        process = _mp.Process(
             target=_shard_main,
-            args=(self.config, child_conn),
+            args=(self.config, conn),
             name=f"repro-{self.name}",
             daemon=False,  # a daemonic process cannot own a worker pool
         )
-        self._process.start()
-        child_conn.close()
-        if not parent_conn.poll(self.start_timeout):
-            self._process.terminate()
-            raise TimeoutError(
-                f"shard {self.name!r} did not bind within {self.start_timeout} s"
-            )
-        self.host, self.port = parent_conn.recv()
-        parent_conn.close()
+        try:
+            process.start()
+        finally:
+            # closed before the next fork, so that only the shard holds
+            # it and the report reads end-of-file if the shard dies
+            conn.close()
+        self._process, self._report = process, report
+
+    async def listening(self) -> tuple[str, int]:
+        """The ``(host, port)`` the shard reports once its listener is
+        bound, waited for on the running loop."""
+        report, self._report = self._report, None
+        with report:
+            if not await _readable(report.fileno(), self.start_timeout):
+                self._process.terminate()
+                raise TimeoutError(
+                    f"shard {self.name!r} did not bind within {self.start_timeout} s"
+                )
+            # EOFError if the shard exited before it listened
+            self.host, self.port = report.recv()
         return self.host, self.port
 
     @property
@@ -107,19 +144,22 @@ class ShardProcess:
             self._process.kill()
             self._process.join(10.0)
 
-    def restart(self) -> tuple[str, int]:
-        """Reap the dead (or wedged) process and launch a replacement.
+    async def restart(self) -> tuple[str, int]:
+        """Reap the dead (or wedged) process, fork a replacement, and
+        return the endpoint it reports.
 
-        Blocks until the new process reports its listener endpoint —
-        the supervisor runs this in an executor.  A still-alive process
-        is SIGKILLed first: restart is the escalation path, a graceful
-        exit would have been :meth:`terminate`.
+        A still-alive process is SIGKILLed first: restart is the
+        escalation path, a graceful exit would have been
+        :meth:`terminate`.  Its exit is awaited on the loop, so the
+        other shards' heartbeats go on meanwhile.
         """
         if self._process is not None:
             if self._process.is_alive():
                 self._process.kill()
-            self._process.join(10.0)
+                await _readable(self._process.sentinel, 10.0)
+            self._process.join(0)
             self._process = None
         self.host = None
         self.port = None
-        return self.start()
+        self.fork()
+        return await self.listening()

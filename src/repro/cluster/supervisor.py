@@ -26,9 +26,10 @@ grows.  The supervisor closes the loop:
    only way out of ``down``: the router itself never retries a shard
    it has marked down.
 
-The supervisor is an asyncio task on the router's loop; blocking work
-(process spawn + port handshake) runs in the default executor so
-heartbeats for the other shards never stall behind a restart.
+The supervisor is an asyncio task on the router's loop.  A restart
+forks the new shard on that loop's thread, as the cluster's start does,
+and awaits the old process's exit and the new one's port report on the
+loop, so heartbeats for the other shards never stall behind a restart.
 """
 
 from __future__ import annotations
@@ -201,12 +202,11 @@ class ShardSupervisor:
 
     async def _restart(self, name: str) -> None:
         shard = self.shards[name]
-        loop = asyncio.get_running_loop()
         for attempt in range(MAX_RESTART_ATTEMPTS):
             await asyncio.sleep(self.backoff_delay(attempt))
             try:
-                host, port = await loop.run_in_executor(None, shard.restart)
-            except Exception:  # spawn/bind failed; back off harder and retry
+                host, port = await shard.restart()
+            except Exception:  # fork/bind failed; back off harder and retry
                 continue
             if not await self._probe_endpoint(host, port):
                 continue

@@ -22,10 +22,11 @@ how it is fed, answered and stopped; a parallel sweep runs its points
 on the same workers, a chunk per message, where the engine sends one
 call per message.  Workers start by the process's default start method:
 ``repro serve`` keeps the platform's (fork on Linux), and a cluster
-shard forks them (:func:`repro.serve.server._shard_main`).  A forked
-worker starts with every module its engine has loaded, and first drops
-what it inherited of the engine's process: its signal handlers, its
-listener and its connections.  A call writes one pickled message to an
+shard, itself forked from its router, forks them
+(:func:`repro.serve.server._shard_main`).  A forked worker starts with
+every module its engine has loaded, and first drops what it inherited
+of the engine's process: its signal handlers, its listener and its
+connections.  A call writes one pickled message to an
 idle worker and awaits the answer that the worker's reader passes back,
 so it crosses no helper thread, and the loop never blocks on a worker.
 A worker that dies fails only the call it was running.  The engine

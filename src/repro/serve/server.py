@@ -22,8 +22,8 @@ that owns one :class:`~repro.serve.engine.AnalysisEngine`: the shell
 handles sockets, framing, in-flight accounting and the drain; this
 module adds only the single-node dispatch, engine startup (workers,
 calibration, admission) and engine release (the workers).  The cluster
-tier (:mod:`repro.cluster`) runs the same server in N shard processes,
-whose body (``_shard_main``) is here too.
+tier (:mod:`repro.cluster`) runs the same server in N shard processes
+forked from its router, whose body (``_shard_main``) is here too.
 
 Lifecycle: ``start()`` starts the workers, runs a calibration pass
 (which both pre-imports the analysis in the workers and primes the NC
@@ -44,7 +44,7 @@ import os
 import sys
 from typing import Any
 
-from .. import __version__
+from .. import __version__, _worker
 from .engine import AnalysisEngine, ServeConfig
 from .protocol import (
     CLUSTER_OPS,
@@ -130,13 +130,26 @@ def run(config: "ServeConfig | None" = None, *, on_ready=None) -> int:
 def _shard_main(config: ServeConfig, conn: Any) -> None:
     """A cluster shard's process body: :func:`run`, reporting the bound
     ``(host, port)`` on ``conn`` and draining once the process that
-    started the shard is gone.  It lives here so that a spawned shard
-    imports nothing of :mod:`repro.cluster` to find it."""
+    started the shard is gone.
+
+    A shard is forked from its router, so it first starts clean, by a
+    worker's rule (:mod:`repro._worker`): it keeps ``conn``, its
+    parent's sentinel and the descriptors behind ``sys.stdout`` and
+    ``sys.stderr`` (not 1 and 2 under a test's output capture), where
+    they have one, and none of the router's listener, connections or
+    other shards' pipes.  It lives next to the server it runs and needs
+    nothing of :mod:`repro.cluster`."""
+    # readable at end-of-file, once the process that started the shard is gone
+    sentinel = multiprocessing.parent_process().sentinel
+    stdio = []
+    for stream in (sys.stdout, sys.stderr):
+        # none behind a stream redirected to memory
+        with contextlib.suppress(AttributeError, ValueError, OSError):
+            stdio.append(stream.fileno())
+    _worker._start_clean(conn.fileno(), sentinel, *stdio)
     # for the engine's workers; a shard runs one thread, so forking is safe
     multiprocessing.set_start_method("fork", force=True)
     server = AnalysisServer(config)
-    # readable at end-of-file, once the process that started the shard is gone
-    sentinel = multiprocessing.parent_process().sentinel
 
     def orphaned() -> None:
         asyncio.get_running_loop().remove_reader(sentinel)

@@ -11,14 +11,17 @@ same workers (``repro._worker``), and a SIGKILLed sweep leaves none
 behind.
 
 The in-process server forks its workers (the default start method on
-Linux), and so does a cluster shard, a spawned process that sets its
-own start method.  A forked worker starts clean: one that replaces a
-dead worker after the listener has bound holds no client connection
-and takes its own SIGTERM.  The spawn path is checked in
+Linux), and so does a cluster shard, itself a fork of its router.  A
+forked worker starts clean: one that replaces a dead worker after the
+listener has bound holds no client connection and takes its own
+SIGTERM.  A shard starts by the same rule: one that the supervisor
+restarts after the router has bound holds none of the router's
+connections.  The spawn path of a worker is checked in
 ``tests/test_import_layering.py``.
 """
 
 import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -282,10 +285,10 @@ def test_a_shard_forks_its_worker_and_it_answers_as_in_process(tmp_path):
     with ClusterThread(config) as cluster:
         (shard,) = cluster.shards
         (worker,) = _children(shard.pid)
-        # a forked process keeps its parent's command line; a spawned
-        # one runs spawn_main with a pipe of its own
+        # a forked process keeps its parent's command line: the shard
+        # has its router's, this process's under the test harness
         cmdline = Path(f"/proc/{shard.pid}/cmdline").read_bytes()
-        assert b"spawn_main" in cmdline
+        assert cmdline == Path("/proc/self/cmdline").read_bytes()
         assert Path(f"/proc/{worker}/cmdline").read_bytes() == cmdline
         with ServeClient(cluster.host, cluster.port) as c:
             answer = c.analyze(MODEL, params=params)
@@ -294,6 +297,20 @@ def test_a_shard_forks_its_worker_and_it_answers_as_in_process(tmp_path):
     want = evaluate_point(MODEL, params, options, point_seed(42, params))
     got = {k: answer["result"][k] for k in want if k != "elapsed"}
     assert got == json.loads(json.dumps({k: v for k, v in want.items() if k != "elapsed"}))
+
+
+def test_a_cluster_starts_with_its_output_redirected_to_memory(tmp_path):
+    # a forked shard keeps the descriptors behind its output streams,
+    # and starts when they have none
+    config = ClusterConfig(
+        shards=1, workers_per_shard=1, calibrate=0,
+        cache_dir=str(tmp_path / "cache"), supervise=False,
+    )
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), ClusterThread(config) as cluster:
+        with ServeClient(cluster.host, cluster.port) as c:
+            assert c.ping()["ok"]
+    assert "[router] listening" in output.getvalue()
 
 
 @linux_only
@@ -305,6 +322,34 @@ def test_a_connection_the_server_closes_is_closed_after_a_worker_restart():
         with socket.create_connection(("127.0.0.1", port), timeout=3.0) as sock:
             _replace_the_worker(server, port)
             # the server reads every byte, answers 413 and closes
+            sock.sendall(b"x" * (MAX_LINE_BYTES + 1))
+            received = b""
+            while chunk := sock.recv(65536):  # times out if no end-of-file
+                received += chunk
+    assert json.loads(received)["error"]["code"] == "too_large"
+
+
+@linux_only
+def test_a_connection_the_router_closes_is_closed_after_a_shard_restart(tmp_path):
+    with _repro(
+        "cluster", "start", "--port", "0", "--shards", "2", "--calibrate", "0",
+        "--heartbeat-s", "0.3", "--cache-dir", str(tmp_path / "cache"),
+    ) as (router, port):
+        # open before the restart, so a fork that keeps the router's
+        # descriptors holds a copy of it
+        with socket.create_connection(("127.0.0.1", port), timeout=3.0) as sock:
+            victim = _children(router.pid)[0]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            with ServeClient("127.0.0.1", port) as c:
+                while True:
+                    stats = c.stats()["result"]
+                    if stats["supervisor"]["restarts_total"] and not stats["down"]:
+                        break
+                    assert time.monotonic() < deadline, stats
+                    time.sleep(0.05)
+            assert victim not in _children(router.pid)
+            # the router reads every byte, answers 413 and closes
             sock.sendall(b"x" * (MAX_LINE_BYTES + 1))
             received = b""
             while chunk := sock.recv(65536):  # times out if no end-of-file
@@ -375,8 +420,8 @@ def test_every_process_of_a_sigkilled_cluster_exits(tmp_path):
             "--cache-dir", str(tmp_path / "cache"),
         ) as (router, _port):
             tree = _tree(router.pid)
-            # two shards, a worker each, and multiprocessing's resource tracker
-            assert len(tree) == 5, tree
+            # two shards and a worker each
+            assert len(tree) == 4, tree
             router.kill()
             router.wait(30)
             assert _still_running(tree, within_s=15.0) == []
@@ -395,10 +440,10 @@ def test_shards_whose_router_dies_before_they_report_exit_cleanly(tmp_path):
     tree = []
     try:
         deadline = time.monotonic() + 60.0
-        while len(tree) < 5 and time.monotonic() < deadline:
+        while len(tree) < 4 and time.monotonic() < deadline:
             tree = _tree(router.pid)
             time.sleep(0.01)
-        assert len(tree) == 5, tree  # both shards started their workers
+        assert len(tree) == 4, tree  # both shards started their workers
         router.kill()
         router.wait(30)
         assert _still_running(tree, within_s=15.0) == []

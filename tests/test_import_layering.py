@@ -8,7 +8,8 @@ process that had them from the start.  A serial sweep or catalog loads
 none of the worker machinery, which only ``jobs > 1`` needs.  A spawned
 engine worker, as ``repro serve`` starts them where spawn is the
 platform's default start method, loads nothing of the serving stack,
-and a spawned cluster shard finds its body without the cluster tier.
+and the module that holds a cluster shard's body loads nothing of the
+cluster tier, so ``repro serve`` does not load it either.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def test_serial_batch_loads_no_worker_machinery():
 def test_shard_body_module_loads_nothing_of_the_cluster_tier():
     from repro.cluster import shards
 
-    # what a spawned shard imports to find its process body
+    # the shard body sits next to the server that ``repro serve`` runs
     module = shards._shard_main.__module__
     code = (
         f"import json, sys, {module}\n"
