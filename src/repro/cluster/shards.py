@@ -8,17 +8,32 @@ no import, and no resource tracker, which the ``spawn`` start method
 runs next to the processes it starts.  A shard forks its own workers
 too, so each of them starts with every module loaded (DESIGN §18).
 
-A fork copies only the thread that forks, so the router forks on its
-event-loop thread, never on an executor thread: ``concurrent.futures``
-joins its threads at exit, and a process forked on one would join
-itself and exit 1.  A fork also copies the router's signal handlers and
-descriptors: its listener, its client connections and the write ends
-of the other shards' sentinel pipes.  The shard drops all of them
-first, by the rule a worker starts by (``_shard_main``,
-:mod:`repro._worker`), and then drains, as on SIGTERM, when the process
-that started it dies, however it dies: it watches that process's
-sentinel on its event loop.  Its body lives in :mod:`repro.serve.server`,
-next to the server it runs.
+The router forks on its event-loop thread, never on an executor
+thread: ``concurrent.futures`` joins its threads at exit, and a process
+forked on one would join itself and exit 1.  A fork copies only the
+thread that forks, and a lock that another thread holds at that moment
+stays held in the shard for good: a module's import lock, say, or the
+buffer lock of ``sys.stdout``, which the shard needs for its banner.
+``repro cluster start``'s router runs no other thread when it forks.  A
+harness that hosts a cluster on a thread (``ClusterThread``, and the
+chaos run, whose supervisor forks replacements while the load, monitor
+and fault threads run) forks in a process that does, and takes that
+risk; from Python 3.12 on, such a fork also warns
+(``DeprecationWarning``).
+
+A fork copies the router's signal handlers and descriptors too: its
+listener, its client connections and the write ends of the other
+shards' sentinel pipes.  The shard drops all of them first, by the rule
+a worker starts by (``_shard_main``, :mod:`repro._worker`), and then
+drains, as on SIGTERM, when the process that started it dies, however
+it dies: it watches that process's sentinel on its event loop.  Its
+body lives in :mod:`repro.serve.server`, next to the server it runs.
+
+Starting clean also closes the write end of :mod:`multiprocessing`'s
+own exit pipe, which only the shard held, so ``Process.sentinel`` reads
+end-of-file while the shard still runs and ``Process.join(timeout)``
+waits for its exit with no bound.  This handle therefore waits for a
+shard's exit by polling ``is_alive()`` until a deadline.
 
 :class:`ShardProcess` is the supervisor-side handle: :meth:`fork`
 starts the process, :meth:`listening` waits on the loop for the shard
@@ -43,6 +58,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import time
 from multiprocessing.connection import Connection
 
 from ..serve.engine import ServeConfig
@@ -51,6 +67,8 @@ from ..serve.server import _shard_main
 __all__ = ["ShardProcess"]
 
 _mp = multiprocessing.get_context("fork")
+#: how often a shard's exit is looked for while it is awaited
+_EXIT_POLL_S = 0.01
 
 
 async def _readable(fd: int, timeout: float) -> bool:
@@ -126,23 +144,34 @@ class ShardProcess:
     def exitcode(self) -> "int | None":
         return None if self._process is None else self._process.exitcode
 
+    def _exited(self, timeout: float) -> bool:
+        """Whether the process has exited, and been reaped, within
+        ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while self._process.is_alive():
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(_EXIT_POLL_S)
+        return True
+
     def terminate(self, timeout: float = 60.0) -> "int | None":
-        """SIGTERM → graceful drain; returns the exit code (0 = lossless)."""
+        """SIGTERM → graceful drain; returns the exit code (0 = lossless).
+        A shard that has not exited ``timeout`` seconds later is
+        SIGKILLed."""
         if self._process is None:
             return None
         if self._process.is_alive():
             self._process.terminate()
-        self._process.join(timeout)
-        if self._process.is_alive():
+        if not self._exited(timeout):
             self._process.kill()
-            self._process.join(timeout)
+            self._exited(timeout)
         return self._process.exitcode
 
     def kill(self) -> None:
         """SIGKILL — no drain, no goodbye (failure injection)."""
         if self._process is not None and self._process.is_alive():
             self._process.kill()
-            self._process.join(10.0)
+            self._exited(10.0)
 
     async def restart(self) -> tuple[str, int]:
         """Reap the dead (or wedged) process, fork a replacement, and
@@ -150,14 +179,15 @@ class ShardProcess:
 
         A still-alive process is SIGKILLed first: restart is the
         escalation path, a graceful exit would have been
-        :meth:`terminate`.  Its exit is awaited on the loop, so the
-        other shards' heartbeats go on meanwhile.
+        :meth:`terminate`.  Its exit is awaited on the loop, for at most
+        10 s, so the other shards' heartbeats go on meanwhile.
         """
         if self._process is not None:
             if self._process.is_alive():
                 self._process.kill()
-                await _readable(self._process.sentinel, 10.0)
-            self._process.join(0)
+                deadline = time.monotonic() + 10.0
+                while self._process.is_alive() and time.monotonic() < deadline:
+                    await asyncio.sleep(_EXIT_POLL_S)
             self._process = None
         self.host = None
         self.port = None

@@ -16,10 +16,12 @@ forked worker starts clean: one that replaces a dead worker after the
 listener has bound holds no client connection and takes its own
 SIGTERM.  A shard starts by the same rule: one that the supervisor
 restarts after the router has bound holds none of the router's
-connections.  The spawn path of a worker is checked in
-``tests/test_import_layering.py``.
+connections.  A shard that does not drain in time is SIGKILLed, and a
+restart reaps the shard it replaces.  The spawn path of a worker is
+checked in ``tests/test_import_layering.py``.
 """
 
+import asyncio
 import contextlib
 import io
 import json
@@ -123,6 +125,24 @@ def _tree(pid):
     """The pids of ``pid``'s descendants."""
     kids = _children(pid)
     return [p for kid in kids for p in (kid, *_tree(kid))]
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail here after ``seconds``, so that a wait that hangs fails its
+    test instead of stalling the suite.  The failure is no ``OSError``,
+    which ``multiprocessing``'s ``waitpid`` call would swallow."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @contextlib.contextmanager
@@ -355,6 +375,48 @@ def test_a_connection_the_router_closes_is_closed_after_a_shard_restart(tmp_path
             while chunk := sock.recv(65536):  # times out if no end-of-file
                 received += chunk
     assert json.loads(received)["error"]["code"] == "too_large"
+
+
+@linux_only
+def test_a_shard_that_does_not_drain_in_time_is_sigkilled(tmp_path):
+    config = ClusterConfig(
+        shards=1, workers_per_shard=1, calibrate=0,
+        cache_dir=str(tmp_path / "cache"), supervise=False,
+    )
+    with ClusterThread(config) as cluster:
+        (shard,) = cluster.shards
+        pid = shard.pid
+        os.kill(pid, signal.SIGSTOP)  # takes no SIGTERM, so never drains
+        try:
+            started = time.monotonic()
+            with _within(10):
+                assert shard.terminate(timeout=1.0) == -signal.SIGKILL
+            assert time.monotonic() - started < 5.0
+        finally:
+            _kill_all([pid])
+        assert _stat(pid) is None  # exited and reaped
+
+
+@linux_only
+def test_a_restart_reaps_the_stopped_shard_it_replaces(tmp_path):
+    config = ClusterConfig(
+        shards=1, workers_per_shard=1, calibrate=0,
+        cache_dir=str(tmp_path / "cache"), supervise=False,
+    )
+    with ClusterThread(config) as cluster:
+        (shard,) = cluster.shards
+        old = shard.pid
+        os.kill(old, signal.SIGSTOP)
+        try:
+            # on the router's loop, where every shard is forked
+            restart = asyncio.run_coroutine_threadsafe(shard.restart(), cluster._loop)
+            host, port = restart.result(timeout=30)
+        finally:
+            _kill_all([old])
+        assert _stat(old) is None  # SIGKILLed and reaped, no zombie left
+        assert shard.pid != old
+        with ServeClient(host, port) as c:
+            assert c.ping()["ok"]
 
 
 @linux_only
